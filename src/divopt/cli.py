@@ -132,14 +132,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         upper = ObjectiveKind.from_string(args.model.split("-", 1)[1])
         res = solve_bilevel(inst, m, upper, cap=args.cap, budget=budget,
                             mode=args.mode)
+        # a truncated enumeration picks among only some MaxMin optima
+        status = SolveStatus.FEASIBLE if res.truncated else SolveStatus.OPTIMAL
         print(f"model {args.model}")
-        print("status optimal")
+        print(f"status {status.value}")
         print(f"d_star {_value_str(res.d_star)}")
         print(f"optima {res.optima_enumerated}")
         print(f"truncated {'true' if res.truncated else 'false'}")
         print(f"value {_value_str(res.upper_value)}")
         print(f"subset {_subset_str(res.chosen)}")
-        return 0
+        return 2 if args.strict and res.truncated else 0
     kind = ObjectiveKind.from_string(args.model)
     if kind is not ObjectiveKind.MAXMEAN and m is None:
         raise ValueError("subset size m required (flag --m or file header)")

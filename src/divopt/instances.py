@@ -76,8 +76,8 @@ class Instance:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         if d.shape[0] < 2:
             raise ValueError("instance needs at least 2 nodes")
-        if np.isnan(d).any():
-            raise ValueError("distance matrix contains NaN")
+        if not np.isfinite(d).all():
+            raise ValueError("distance matrix contains NaN or infinite entries")
         if (d < 0).any():
             raise ValueError("distance matrix contains negative entries")
         if np.diagonal(d).any():
@@ -363,8 +363,8 @@ def parse_instance(text: str, *, name: str = "parsed",
             raise FormatError(f"node index out of range in {line!r}")
         if i == j:
             raise FormatError(f"self-distance entry in {line!r}")
-        if math.isnan(value):
-            raise FormatError(f"NaN distance in {line!r}")
+        if not math.isfinite(value):
+            raise FormatError(f"non-finite distance in {line!r}")
         if value < 0:
             raise FormatError(f"negative distance in {line!r}")
         a, b = (i, j) if i < j else (j, i)

@@ -10,11 +10,16 @@ to relative frequency.
 from __future__ import annotations
 
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 from .analysis import DistanceHistogram, HistogramMode
 from .instances import Instance
 from .objectives import Solution
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for XML text, in xml.sax.saxutils.escape's order."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 # Fixed marker colors per model label so figures stay comparable run to run.
 MODEL_COLORS = {

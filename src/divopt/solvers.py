@@ -26,9 +26,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import ceil, comb, inf, log2
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,9 @@ from .objectives import (ObjectiveKind, Sense, Solution, eval_maxmin,
                          eval_maxsum, evaluate)
 
 DEFAULT_OPTIMA_CAP = 100_000
+
+# Combinations the brute-force walk scores per numpy block.
+_BLOCK_ROWS = 4096
 
 # Subinterval exponent cap for the bisection method: spectra with a tiny
 # minimum gap would otherwise demand an absurd number of steps.
@@ -667,28 +670,49 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
                              value=z_star)
 
 
+def _subset_sizes(instance: Instance, m: Optional[int],
+                  kind: ObjectiveKind) -> tuple[list[int], int]:
+    """Subset sizes of an exhaustive walk and the subset budget's count."""
+    n = instance.n
+    if kind is ObjectiveKind.MAXMEAN:
+        return list(range(1, n + 1)), 2 ** n
+    if m is None:
+        raise ValueError(f"{kind.value} requires a subset size m")
+    _validate_m(instance, m)
+    return [m], comb(n, m)
+
+
+def _combination_blocks(n: int, sizes: list[int]) -> Iterator[np.ndarray]:
+    """combinations(range(n), size) for each size in turn, in order, as
+    (rows, size) index arrays of at most _BLOCK_ROWS rows."""
+    for size in sizes:
+        combos = combinations(range(n), size)
+        while True:
+            flat = np.fromiter(chain.from_iterable(islice(combos, _BLOCK_ROWS)),
+                               dtype=np.intp)
+            if not flat.size:
+                break
+            yield flat.reshape(-1, size)
+
+
 def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 budget: Optional[SolverBudget] = None) -> SolveResult:
     """Exhaustive oracle: every m-subset (every subset for MaxMean).
 
-    Refuses upfront (status BudgetExceeded) when the subset count exceeds
-    the budget.  Ties go to the lexicographically smallest index tuple.
+    Subsets are scored in blocks of up to _BLOCK_ROWS combinations by
+    _score_block, whose values equal the per-subset reference _score_plain
+    bit for bit.  Refuses upfront (status BudgetExceeded) when the subset
+    count exceeds the budget.  The time limit is checked before each block
+    after the first.  Ties go to the lexicographically smallest index tuple.
     """
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    n = instance.n
-    if kind is ObjectiveKind.MAXMEAN:
-        total = 2 ** n
-    else:
-        if m is None:
-            raise ValueError(f"{kind.value} requires a subset size m")
-        _validate_m(instance, m)
-        total = comb(n, m)
+    sizes, total = _subset_sizes(instance, m, kind)
     if budget.max_subsets is not None and total > budget.max_subsets:
         stats = SearchStats(wall_time=time.perf_counter() - start)
         return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None, stats)
 
-    D = instance.distances.tolist()
+    D = instance.distances
     sense_max = kind.sense is Sense.MAX
     best_val: Optional[float] = None
     best_combo: Optional[tuple[int, ...]] = None
@@ -703,25 +727,18 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
             return (val > best_val) if sense_max else (val < best_val)
         return combo < best_combo
 
-    def scan_size(size: int) -> bool:
-        nonlocal best_val, best_combo, explored, timed_out
-        for combo in combinations(range(n), size):
-            explored += 1
-            if deadline is not None and explored & 4095 == 0 \
-                    and time.perf_counter() > deadline:
-                timed_out = True
-                return False
-            val = _score_plain(D, combo, kind)
-            if better(val, combo):
-                best_val, best_combo = val, combo
-        return True
-
-    if kind is ObjectiveKind.MAXMEAN:
-        for size in range(1, n + 1):
-            if not scan_size(size):
-                break
-    else:
-        scan_size(m)
+    for block in _combination_blocks(instance.n, sizes):
+        if explored and deadline is not None and time.perf_counter() > deadline:
+            timed_out = True
+            break
+        scores = _score_block(D, block, kind)
+        explored += len(block)
+        # rows come in combination order, so the first row attaining the
+        # block's best is its lexicographically smallest
+        row = int(scores.argmax() if sense_max else scores.argmin())
+        val, combo = float(scores[row]), tuple(block[row].tolist())
+        if better(val, combo):
+            best_val, best_combo = val, combo
 
     stats = SearchStats(subsets_or_nodes_explored=explored,
                         wall_time=time.perf_counter() - start)
@@ -730,8 +747,47 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     return SolveResult(kind, status, sol, evaluate(kind, instance, sol), stats)
 
 
+def _score_block(D: np.ndarray, block: np.ndarray,
+                 kind: ObjectiveKind) -> np.ndarray:
+    """Scores of every row of an (rows, k) index block.
+
+    Per row the float operations and their order are those of _score_plain:
+    pair terms are added one at a time in (a, b) order, never by a
+    reordering reduction such as np.sum, so the values agree bit for bit.
+    """
+    rows, k = block.shape
+    flat = D.ravel()
+    base = block * D.shape[0]
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+
+    def dist(a: int, b: int) -> np.ndarray:
+        return flat.take(base[:, a] + block[:, b])
+
+    if kind is ObjectiveKind.MAXSUM or kind is ObjectiveKind.MAXMEAN:
+        s = np.zeros(rows)
+        for a, b in pairs:
+            s += dist(a, b)
+        return s / k if kind is ObjectiveKind.MAXMEAN else s
+    if kind is ObjectiveKind.MAXMIN:
+        best = np.full(rows, inf)
+        for a, b in pairs:
+            np.minimum(best, dist(a, b), out=best)
+        return best
+    contrib = np.zeros((k, rows))
+    for a, b in pairs:
+        d = dist(a, b)
+        contrib[a] += d
+        contrib[b] += d
+    low = np.minimum.reduce(contrib)
+    if kind is ObjectiveKind.MAXMINSUM:
+        return low
+    return np.maximum.reduce(contrib) - low
+
+
 def _score_plain(D: list[list[float]], combo: tuple[int, ...],
                  kind: ObjectiveKind) -> float:
+    """Score of one subset: the bi-level leaf score and _score_block's
+    per-subset reference."""
     k = len(combo)
     if kind is ObjectiveKind.MAXSUM or kind is ObjectiveKind.MAXMEAN:
         s = 0.0
@@ -781,34 +837,33 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
         raise BudgetExceededError("optimum not proven within time budget")
     opt = base.value
     tol = tolerance * max(1.0, abs(opt))
-    D = instance.distances.tolist()
-    n = instance.n
+    sizes, _ = _subset_sizes(instance, m, kind)
     found: list[Solution] = []
-    truncated = False
-
-    def consider(combo: tuple[int, ...]) -> bool:
-        nonlocal truncated
-        if abs(_score_plain(D, combo, kind) - opt) <= tol:
+    for block in _combination_blocks(instance.n, sizes):
+        hits = np.abs(_score_block(instance.distances, block, kind) - opt) <= tol
+        for row in np.flatnonzero(hits):
             if len(found) == cap:
-                truncated = True
-                return False
-            found.append(Solution(combo))
-        return True
-
-    if kind is ObjectiveKind.MAXMEAN:
-        sizes: list[int] = list(range(1, n + 1))
-    else:
-        sizes = [m]
-    done = True
-    for size in sizes:
-        for combo in combinations(range(n), size):
-            if not consider(combo):
-                done = False
-                break
-        if not done:
-            break
-    return OptimaEnumeration(solutions=tuple(found), truncated=truncated,
+                return OptimaEnumeration(solutions=tuple(found),
+                                         truncated=True, value=opt)
+            found.append(Solution(block[row].tolist()))
+    return OptimaEnumeration(solutions=tuple(found), truncated=False,
                              value=opt)
+
+
+def _sum_completion_bound(D: list[list[float]], chosen: list[int],
+                          remaining: Sequence[int], need: int) -> float:
+    """Most that need more picks from remaining can add to a MaxSum value
+    (the bound solve_maxsum_bnb describes)."""
+    scores = []
+    for v in remaining:
+        row = D[v]
+        to_chosen = 0.0
+        for s in chosen:
+            to_chosen += row[s]
+        others = sorted((row[u] for u in remaining if u != v), reverse=True)
+        scores.append(to_chosen + 0.5 * sum(others[:need - 1]))
+    scores.sort(reverse=True)
+    return sum(scores[:need])
 
 
 def solve_maxsum_bnb(instance: Instance, m: int,
@@ -844,17 +899,7 @@ def solve_maxsum_bnb(instance: Instance, m: int,
         remaining = range(start_idx, n)
         if len(remaining) < need:
             return
-        # admissible completion bound
-        scores = []
-        for v in remaining:
-            row = D[v]
-            to_chosen = 0.0
-            for s in chosen:
-                to_chosen += row[s]
-            others = sorted((row[u] for u in remaining if u != v), reverse=True)
-            scores.append(to_chosen + 0.5 * sum(others[:need - 1]))
-        scores.sort(reverse=True)
-        if cur + sum(scores[:need]) <= best_val:
+        if cur + _sum_completion_bound(D, chosen, remaining, need) <= best_val:
             return
         for v in range(start_idx, n - need + 1):
             row = D[v]
@@ -949,18 +994,9 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
         remaining = _bits_to_nodes(cand)
         if len(remaining) < need:
             return
-        # MaxSum-style completion bound; MaxMinSum is capped by twice the
-        # best possible sum divided by m (min <= mean of contributions)
-        scores = []
-        for v in remaining:
-            row = D[v]
-            to_chosen = 0.0
-            for s in chosen:
-                to_chosen += row[s]
-            others = sorted((row[u] for u in remaining if u != v), reverse=True)
-            scores.append(to_chosen + 0.5 * sum(others[:need - 1]))
-        scores.sort(reverse=True)
-        sum_bound = cur + sum(scores[:need])
+        # MaxSum completion bound; MaxMinSum is capped by twice the best
+        # possible sum divided by m (min <= mean of contributions)
+        sum_bound = cur + _sum_completion_bound(D, chosen, remaining, need)
         bound = sum_bound if upper_kind is ObjectiveKind.MAXSUM \
             else 2.0 * sum_bound / m
         if bound <= best_val:

@@ -66,6 +66,21 @@ def test_solve_bilevel_output(t4_file, capsys):
     assert "truncated false" in out
 
 
+def test_solve_bilevel_truncated_is_feasible(square_file, capsys):
+    # the unit square has two MaxMin-optimal pairs; a cap of 1 truncates
+    argv = ["solve", square_file, "--model", "bilevel-maxsum", "--m", "2",
+            "--cap", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert "status feasible" in lines
+    assert "truncated true" in lines
+    assert run(capsys, *argv, "--strict")[0] == 2
+    code, out = run(capsys, *argv[:-2], "--strict")
+    assert code == 0
+    assert "status optimal" in out.splitlines()
+
+
 def test_solve_original_method(t4_file, capsys):
     code, out = run(capsys, "solve", t4_file, "--model", "maxmin",
                     "--m", "3", "--method", "original")

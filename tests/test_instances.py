@@ -30,6 +30,13 @@ def test_instance_rejects_negative_and_nan():
         Instance(name="nan", family=Family.CUSTOM, distances=d)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_instance_rejects_infinite(value):
+    d = np.array([[0.0, 1.0, value], [1.0, 0.0, 2.0], [value, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="infinite"):
+        Instance(name="inf", family=Family.CUSTOM, distances=d)
+
+
 def test_instance_rejects_nonzero_diagonal():
     d = np.array([[1.0, 2.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
@@ -195,6 +202,12 @@ def test_parse_header_default_m_zero_means_none():
 def test_parse_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+def test_parse_names_non_finite_distance(token):
+    with pytest.raises(FormatError, match="non-finite distance"):
+        parse_instance(f"2 0\n0 1 {token}\n")
 
 
 def test_parse_accepts_either_orientation():

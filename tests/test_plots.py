@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
 from divopt import (Family, HistogramMode, Instance, Solution, histogram,
                     histogram_svg, scatter_svg)
+from divopt import plots
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -67,3 +73,27 @@ def test_histogram_svg_integer_mode_labels(t4):
     ET.fromstring(text)
     for label in "0123456789":
         assert f">{label}<" in text
+
+
+def test_local_escape_matches_saxutils(unit_square, t4, monkeypatch):
+    tricky = ["a<b>&c", "&amp;", "<&>", "x>y<z&&", "plain", ""]
+    for text in tricky:
+        assert plots.escape(text) == saxutils.escape(text)
+    h = histogram([(t4, Solution([1, 2, 3]))], HistogramMode.NORMALIZED10)
+    mine = (scatter_svg(unit_square, [(t, Solution([0, 1])) for t in tricky]),
+            histogram_svg(h, title="a<b>&c"))
+    monkeypatch.setattr(plots, "escape", saxutils.escape)
+    ref = (scatter_svg(unit_square, [(t, Solution([0, 1])) for t in tricky]),
+           histogram_svg(h, title="a<b>&c"))
+    assert mine == ref
+
+
+def test_import_pulls_in_no_network_stack():
+    code = ("import sys, divopt; "
+            "print(sorted(m for m in ('ssl', 'urllib.request', 'http.client',"
+            " 'email', 'socket') if m in sys.modules))")
+    src = str(Path(plots.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

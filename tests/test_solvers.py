@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
+                    Sense, evaluate,
                     BudgetExceededError, SolveStatus, SolverBudget,
                     brute_force, build_threshold_graph,
                     default_subinterval_exponent, enumerate_maxmin_optima,
@@ -14,6 +15,7 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     feasible_subset, generate, max_packing, solve_bilevel,
                     solve_maxmin_improved, solve_maxmin_original,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
+from divopt.solvers import _combination_blocks, _score_block, _score_plain
 
 
 def _edges(graph):
@@ -203,12 +205,31 @@ def test_enumerate_all_solutions_hit_value(t4):
 
 
 def test_enumerate_optima_other_kinds(unit_square, t4):
-    en = enumerate_optima(unit_square, 2, ObjectiveKind.MAXSUM)
-    assert [tuple(s) for s in en.solutions] == [(0, 3), (1, 2)]
-    en = enumerate_optima(t4, 3, ObjectiveKind.MINDIFF)
-    assert [tuple(s) for s in en.solutions] == [(1, 2, 3)]
-    en = enumerate_optima(t4, None, ObjectiveKind.MAXMEAN)
-    assert [tuple(s) for s in en.solutions] == [(0, 1, 2, 3)]
+    every_pair = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    every_triple = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    cases = [
+        (t4, 2, ObjectiveKind.MAXSUM, [(2, 3)]),
+        (t4, 3, ObjectiveKind.MAXSUM, [(1, 2, 3)]),
+        (t4, 2, ObjectiveKind.MAXMINSUM, [(2, 3)]),
+        (t4, 3, ObjectiveKind.MAXMINSUM, [(1, 2, 3)]),
+        (t4, 2, ObjectiveKind.MINDIFF, every_pair),
+        (t4, 3, ObjectiveKind.MINDIFF, [(1, 2, 3)]),
+        (t4, None, ObjectiveKind.MAXMEAN, [(0, 1, 2, 3)]),
+        (unit_square, 2, ObjectiveKind.MAXSUM, [(0, 3), (1, 2)]),
+        (unit_square, 3, ObjectiveKind.MAXSUM, every_triple),
+        (unit_square, 2, ObjectiveKind.MAXMINSUM, [(0, 3), (1, 2)]),
+        (unit_square, 3, ObjectiveKind.MAXMINSUM, every_triple),
+        (unit_square, 2, ObjectiveKind.MINDIFF, every_pair),
+        (unit_square, 3, ObjectiveKind.MINDIFF, every_triple),
+        (unit_square, None, ObjectiveKind.MAXMEAN, [(0, 1, 2, 3)]),
+    ]
+    for inst, m, kind, want in cases:
+        en = enumerate_optima(inst, m, kind)
+        assert [tuple(s) for s in en.solutions] == want, (inst.name, m, kind)
+        assert not en.truncated
+    en = enumerate_optima(t4, 2, ObjectiveKind.MINDIFF, cap=4)
+    assert [tuple(s) for s in en.solutions] == every_pair[:4]
+    assert en.truncated
 
 
 def test_enumerate_budget_error(t4):
@@ -242,6 +263,63 @@ def test_brute_force_subset_budget(t4):
     res = brute_force(t4, 3, ObjectiveKind.MAXSUM,
                       SolverBudget(max_subsets=2))
     assert res.status is SolveStatus.BUDGET_EXCEEDED
+
+
+def _tie_heavy(seed, n, values):
+    rng = np.random.default_rng(seed)
+    d = np.triu(rng.choice(values, size=(n, n)), 1)
+    return Instance(name=f"ties{seed}", family=Family.CUSTOM, distances=d + d.T)
+
+
+TIE_VALUES = [[0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.30000000000000004],
+              [0.1, 0.7, 1e16, 3.0]]
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("values", TIE_VALUES)
+def test_score_block_matches_plain_bit_for_bit(kind, values):
+    for seed, (n, k) in enumerate([(9, 1), (9, 2), (10, 4), (12, 6), (8, 8)]):
+        inst = _tie_heavy(seed, n, values)
+        D = inst.distances.tolist()
+        for block in _combination_blocks(n, [k]):
+            got = _score_block(inst.distances, block, kind).tolist()
+            want = [_score_plain(D, tuple(row), kind) for row in block.tolist()]
+            assert got == want
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_combination_blocks_walk_combinations_in_order():
+    rows = [tuple(r) for b in _combination_blocks(16, [1, 6]) for r in b.tolist()]
+    want = [c for size in (1, 6) for c in itertools.combinations(range(16), size)]
+    assert rows == want
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+@pytest.mark.parametrize("values", [[1.0, 2.0], [1.0]])
+def test_brute_force_ties_go_to_lex_smallest(kind, values):
+    # few distinct values over C(16, 5) = 4368 subsets, past one block
+    inst = _tie_heavy(3, 16, values)
+    m = None if kind is ObjectiveKind.MAXMEAN else 5
+    sizes = range(1, 17) if m is None else [m]
+    D = inst.distances.tolist()
+    scored = [(_score_plain(D, c, kind), c) for size in sizes
+              for c in itertools.combinations(range(16), size)]
+    pick = max if kind.sense is Sense.MAX else min
+    best = pick(v for v, _ in scored)
+    res = brute_force(inst, m, kind)
+    assert res.status is SolveStatus.OPTIMAL
+    assert tuple(res.solution) == min(c for v, c in scored if v == best)
+    assert res.stats.subsets_or_nodes_explored == len(scored)
+
+
+def test_brute_force_time_limit_gives_feasible_subset():
+    inst = generate(GeneratorSpec(family=Family.MDG, n=20, m=6, seed=1))
+    res = brute_force(inst, 6, ObjectiveKind.MINDIFF,
+                      SolverBudget(time_limit=1e-9))
+    assert res.status is SolveStatus.FEASIBLE
+    assert len(res.solution) == 6
+    assert res.value == evaluate(ObjectiveKind.MINDIFF, inst, res.solution)
+    assert 0 < res.stats.subsets_or_nodes_explored < math.comb(20, 6)
 
 
 def test_maxsum_bnb_t4(t4):
