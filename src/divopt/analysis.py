@@ -190,7 +190,9 @@ def geometry_stats(instance: Instance, solution: Solution) -> GeometryStats:
     solution.validate_for(instance)
     inner = _pair_values(instance, solution)
     idx = np.asarray(solution.nodes, dtype=np.intp)
-    complement = np.setdiff1d(np.arange(instance.n), idx)
+    outside = np.ones(instance.n, dtype=bool)  # np.setdiff1d imports numpy.ma
+    outside[idx] = False
+    complement = np.flatnonzero(outside)
     if complement.size:
         outer = float(instance.distances[np.ix_(idx, complement)].mean())
     else:

@@ -140,7 +140,11 @@ def spectrum_stats(instance: Instance) -> SpectrumStats:
     """Compute (and cache on the instance) the distance-spectrum statistics."""
     if instance._spectrum is None:
         vals = instance.pair_values()
-        distinct = np.unique(vals)  # sorted ascending, exact float64 identity
+        # np.unique's sort path, spelled out: np.unique itself imports
+        # numpy.ma (about 1.4 MiB) on its first call
+        ordered = np.sort(vals)
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        distinct = ordered[first]  # sorted ascending, exact float64 identity
         gaps = np.diff(distinct)
         stats = SpectrumStats(
             d_min=float(distinct[0]),

@@ -92,18 +92,18 @@ class TighteningConstants:
 
 
 def compute_constants(instance: Instance) -> TighteningConstants:
-    d = instance.distances
+    d = instance.distances.tolist()
     n = instance.n
-    d_bar = tuple(float(sum(max(0.0, d[i, j]) for j in range(i + 1, n)))
+    d_bar = tuple(float(sum(max(0.0, d[i][j]) for j in range(i + 1, n)))
                   for i in range(n))
-    d_dbar = tuple(float(sum(min(0.0, d[i, j]) for j in range(i + 1, n)))
+    d_dbar = tuple(float(sum(min(0.0, d[i][j]) for j in range(i + 1, n)))
                    for i in range(n))
-    upper = tuple(float(sum(max(0.0, d[i, j]) for j in range(n) if j != i))
+    upper = tuple(float(sum(max(0.0, d[i][j]) for j in range(n) if j != i))
                   for i in range(n))
-    lower = tuple(float(sum(min(0.0, d[i, j]) for j in range(n) if j != i))
+    lower = tuple(float(sum(min(0.0, d[i][j]) for j in range(n) if j != i))
                   for i in range(n))
     return TighteningConstants(
-        C=float(d.max()) + 1.0,
+        C=float(instance.distances.max()) + 1.0,
         D_bar=d_bar,
         D_dbar=d_dbar,
         U_plus=1.0 + max(upper),

@@ -14,7 +14,9 @@ MaxSum gets a native branch-and-bound with an admissible completion bound,
 and every model has a brute-force oracle.  The bi-level solver optimizes a
 secondary objective (MaxSum or MaxMinSum) over the set of MaxMin-optimal
 subsets, either by enumerating those optima up to a cap or by an exact
-search over independent sets at the MaxMin optimum.
+search over independent sets at the MaxMin optimum.  MaxSum branch and
+bound, the exact bi-level search and MaxMin enumeration all run on one
+lexicographic subset walker, _walk_subsets, with a pluggable prune.
 
 All searches are deterministic; ties break to the lexicographically
 smallest index tuple.
@@ -28,7 +30,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations, islice
 from math import ceil, comb, inf, log2
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +86,9 @@ class SolverBudget:
 
     ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
     backtracking searches, ``q`` overrides the bisection method's
-    subinterval exponent.
+    subinterval exponent.  The subset walk (MaxSum branch and bound, exact
+    bi-level, MaxMin enumeration) counts only visited nodes: a branch with
+    too few candidates left is skipped unvisited and costs no node.
     """
 
     max_subsets: Optional[int] = None
@@ -626,48 +631,20 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
             raise BudgetExceededError("MaxMin optimum not proven within budget")
         z_star = base.value
     graph = build_threshold_graph(instance, z_star)
-    adj = graph.adj
-    n = graph.n
-    deadline = budget.deadline(start)
-    max_nodes = budget.max_nodes
     found: list[Solution] = []
-    truncated = False
-    nodes = 0
 
-    # lexicographic DFS: candidates are non-conflicting vertices above the
-    # last chosen index
-    def rec(cand: int, chosen: list[int], need: int) -> bool:
-        nonlocal nodes, truncated
-        nodes += 1
-        _check_limits(nodes, max_nodes, deadline)
-        if need == 0:
-            if len(found) == cap:
-                truncated = True
-                return False
-            found.append(Solution(chosen))
-            return True
-        if cand.bit_count() < need:
-            return True
-        scan = cand
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            above = ~((low << 1) - 1)  # indices strictly greater than v
-            chosen.append(v)
-            keep = rec(cand & ~adj[v] & above, chosen, need - 1)
-            chosen.pop()
-            if not keep:
-                return False
-        return True
+    def leaf(chosen: list[int], cur: float) -> bool:
+        found.append(Solution(chosen))
+        return len(found) <= cap  # one past the cap proves truncation
 
-    try:
-        rec((1 << n) - 1, [], m)
-    except _Exhausted:
+    nodes, exhausted = _walk_subsets(None, graph.adj, m, leaf,
+                                     max_nodes=budget.max_nodes,
+                                     deadline=budget.deadline(start))
+    if exhausted:
         raise BudgetExceededError(
-            f"optima enumeration exceeded budget after {nodes} nodes") from None
-    return OptimaEnumeration(solutions=tuple(found), truncated=truncated,
-                             value=z_star)
+            f"optima enumeration exceeded budget after {nodes} nodes")
+    return OptimaEnumeration(solutions=tuple(found[:cap]),
+                             truncated=len(found) > cap, value=z_star)
 
 
 def _subset_sizes(instance: Instance, m: Optional[int],
@@ -850,20 +827,116 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                              value=opt)
 
 
-def _sum_completion_bound(D: list[list[float]], chosen: list[int],
-                          remaining: Sequence[int], need: int) -> float:
+def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
+                  leaf: Callable[[list[int], float], bool],
+                  prune: Optional[Callable[..., bool]] = None,
+                  max_nodes: Optional[int] = None,
+                  deadline: Optional[float] = None) -> tuple[int, bool]:
+    """Walk the m-subsets independent in adj depth first, lexicographically.
+
+    leaf(chosen, cur) gets each full subset with its MaxSum value cur and
+    stops the walk by returning False.  prune(cur, gains, remaining, need)
+    may cut a partial one: remaining are its candidates, gains[i] is the
+    distance sum from remaining[i] into chosen (in pick order) and need the
+    picks missing.  Without prune, D may be None and cur stays 0.0.  A
+    child with fewer candidates than it needs is skipped, not visited.
+    Returns (visited nodes, whether max_nodes or the deadline stopped it).
+    """
+    nodes = 0
+
+    def rec(cand: int, chosen: list[int], cur: float) -> bool:
+        nonlocal nodes
+        nodes += 1
+        _check_limits(nodes, max_nodes, deadline)
+        need = m - len(chosen)
+        if need == 0:
+            return leaf(chosen, cur)
+        gains = None
+        if prune is not None:
+            remaining = _bits_to_nodes(cand)
+            gains = []
+            for v in remaining:
+                row = D[v]
+                gain = 0.0
+                for s in chosen:
+                    gain += row[s]
+                gains.append(gain)
+            if prune(cur, gains, remaining, need):
+                return True
+        i = 0  # position of v in remaining
+        scan = cand
+        while scan:
+            low = scan & -scan
+            scan ^= low  # now the candidates above v
+            if scan.bit_count() < need - 1:
+                break
+            v = low.bit_length() - 1
+            child = scan & ~adj[v]
+            if child.bit_count() >= need - 1:
+                chosen.append(v)
+                keep = rec(child, chosen,
+                           cur if gains is None else cur + gains[i])
+                chosen.pop()
+                if not keep:
+                    return False
+            i += 1
+        return True
+
+    try:
+        rec((1 << len(adj)) - 1, [], 0.0)
+    except _Exhausted:
+        return nodes, True
+    return nodes, False
+
+
+def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
+                          remaining: tuple[int, ...], need: int) -> float:
     """Most that need more picks from remaining can add to a MaxSum value
-    (the bound solve_maxsum_bnb describes)."""
-    scores = []
-    for v in remaining:
-        row = D[v]
-        to_chosen = 0.0
-        for s in chosen:
-            to_chosen += row[s]
-        others = sorted((row[u] for u in remaining if u != v), reverse=True)
-        scores.append(to_chosen + 0.5 * sum(others[:need - 1]))
+    (the bound solve_maxsum_bnb describes); gains[i] is remaining[i]'s
+    distance sum into the picks so far."""
+    scores = list(gains)
+    if need > 1:
+        gather = itemgetter(*remaining)
+        for i, v in enumerate(remaining):
+            others = list(gather(D[v]))
+            del others[i]  # v itself
+            others.sort(reverse=True)
+            scores[i] += 0.5 * sum(others[:need - 1])
     scores.sort(reverse=True)
     return sum(scores[:need])
+
+
+def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
+                 upper_kind: ObjectiveKind, max_nodes: Optional[int],
+                 deadline: Optional[float],
+                 ) -> tuple[Optional[tuple[int, ...]], int, int, bool]:
+    """Lexicographically first best MaxSum or MaxMinSum m-subset independent
+    in adj, pruned by the MaxSum completion bound or, for MaxMinSum, twice
+    it over m (min <= mean of the contributions).  Returns (subset or None,
+    leaves scored, nodes visited, exhausted)."""
+    maxsum = upper_kind is ObjectiveKind.MAXSUM
+    best_val = -inf
+    best_combo: Optional[tuple[int, ...]] = None
+    leaves = 0
+
+    def leaf(chosen: list[int], cur: float) -> bool:
+        nonlocal best_val, best_combo, leaves
+        leaves += 1
+        val = cur if maxsum else _score_plain(D, tuple(chosen), upper_kind)
+        if val > best_val:
+            best_val, best_combo = val, tuple(chosen)
+        return True
+
+    def prune(cur: float, gains: list[float], remaining: tuple[int, ...],
+              need: int) -> bool:
+        bound = cur + _sum_completion_bound(D, gains, remaining, need)
+        if not maxsum:
+            bound = 2.0 * bound / m
+        return bound <= best_val
+
+    nodes, exhausted = _walk_subsets(D, adj, m, leaf, prune, max_nodes,
+                                     deadline)
+    return best_combo, leaves, nodes, exhausted
 
 
 def solve_maxsum_bnb(instance: Instance, m: int,
@@ -878,42 +951,11 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     _validate_m(instance, m)
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    deadline = budget.deadline(start)
-    D = instance.distances.tolist()
-    n = instance.n
-    best_val = -inf
-    best_combo: Optional[tuple[int, ...]] = None
-    nodes = 0
-
-    def rec(start_idx: int, chosen: list[int], cur: float) -> None:
-        nonlocal best_val, best_combo, nodes
-        nodes += 1
-        _check_limits(nodes, budget.max_nodes, deadline)
-        k = len(chosen)
-        if k == m:
-            if cur > best_val:
-                best_val = cur
-                best_combo = tuple(chosen)
-            return
-        need = m - k
-        remaining = range(start_idx, n)
-        if len(remaining) < need:
-            return
-        if cur + _sum_completion_bound(D, chosen, remaining, need) <= best_val:
-            return
-        for v in range(start_idx, n - need + 1):
-            row = D[v]
-            gain = 0.0
-            for s in chosen:
-                gain += row[s]
-            chosen.append(v)
-            rec(v + 1, chosen, cur + gain)
-            chosen.pop()
-
+    best_combo, _, nodes, exhausted = _best_subset(
+        instance.distances.tolist(), (0,) * instance.n, m,
+        ObjectiveKind.MAXSUM, budget.max_nodes, budget.deadline(start))
     status = SolveStatus.OPTIMAL
-    try:
-        rec(0, [], 0.0)
-    except _Exhausted:
+    if exhausted:
         status = SolveStatus.FEASIBLE if best_combo is not None \
             else SolveStatus.BUDGET_EXCEEDED
     stats = SearchStats(subsets_or_nodes_explored=nodes,
@@ -955,67 +997,20 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
             raise BudgetExceededError("time budget exhausted before enumeration")
         optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=remaining,
                                          z_star=d_star)
-        chosen = None
-        upper_value = -inf
-        for sol in optima:
-            val = evaluate(upper_kind, instance, sol)
-            if val > upper_value:
-                upper_value = val
-                chosen = sol
+        # max keeps the first best optimum, the lexicographically smallest
+        chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
         return BiLevelResult(d_star=d_star, optima_enumerated=len(optima),
                              cap=cap, truncated=optima.truncated,
                              upper_kind=upper_kind, chosen=chosen,
                              upper_value=evaluate(upper_kind, instance, chosen))
 
     graph = build_threshold_graph(instance, d_star)
-    adj = graph.adj
-    n = graph.n
-    D = instance.distances.tolist()
-    deadline = budget.deadline(start)
-    best_val = -inf
-    best_combo: Optional[tuple[int, ...]] = None
-    nodes = 0
-    leaves = 0
-
-    def rec(cand: int, chosen: list[int], cur: float) -> None:
-        nonlocal best_val, best_combo, nodes, leaves
-        nodes += 1
-        _check_limits(nodes, budget.max_nodes, deadline)
-        k = len(chosen)
-        if k == m:
-            leaves += 1
-            val = cur if upper_kind is ObjectiveKind.MAXSUM \
-                else _score_plain(D, tuple(chosen), ObjectiveKind.MAXMINSUM)
-            if val > best_val:
-                best_val = val
-                best_combo = tuple(chosen)
-            return
-        need = m - k
-        remaining = _bits_to_nodes(cand)
-        if len(remaining) < need:
-            return
-        # MaxSum completion bound; MaxMinSum is capped by twice the best
-        # possible sum divided by m (min <= mean of contributions)
-        sum_bound = cur + _sum_completion_bound(D, chosen, remaining, need)
-        bound = sum_bound if upper_kind is ObjectiveKind.MAXSUM \
-            else 2.0 * sum_bound / m
-        if bound <= best_val:
-            return
-        for v in remaining:
-            row = D[v]
-            gain = 0.0
-            for s in chosen:
-                gain += row[s]
-            above = ~((1 << (v + 1)) - 1)
-            chosen.append(v)
-            rec(cand & ~adj[v] & above, chosen, cur + gain)
-            chosen.pop()
-
-    try:
-        rec((1 << n) - 1, [], 0.0)
-    except _Exhausted:
+    best_combo, leaves, nodes, exhausted = _best_subset(
+        instance.distances.tolist(), graph.adj, m, upper_kind,
+        budget.max_nodes, budget.deadline(start))
+    if exhausted:
         raise BudgetExceededError(
-            f"exact bi-level search exceeded budget after {nodes} nodes") from None
+            f"exact bi-level search exceeded budget after {nodes} nodes")
     chosen_sol = Solution(best_combo)
     return BiLevelResult(d_star=d_star, optima_enumerated=leaves, cap=cap,
                          truncated=False, upper_kind=upper_kind,

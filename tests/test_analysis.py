@@ -138,6 +138,16 @@ def test_geometry_full_set_has_no_complement(t4):
     assert g.avg_to_nonselected is None
 
 
+def test_geometry_complement_matches_setdiff():
+    inst = generate(GeneratorSpec(family=Family.MDG, n=15, m=4, seed=6))
+    for nodes in ([0, 1], [3, 7, 14], [2, 5, 8, 9, 11, 13], list(range(14))):
+        idx = np.asarray(nodes, dtype=np.intp)
+        rest = np.setdiff1d(np.arange(inst.n), idx)
+        want = float(inst.distances[np.ix_(idx, rest)].mean())
+        got = geometry_stats(inst, Solution(nodes)).avg_to_nonselected
+        assert got.hex() == want.hex()
+
+
 def test_multiplicity_unit_square(unit_square):
     summary = multiplicity_report([unit_square], 2)
     assert summary.per_instance == (("unit_square", 2, False),)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,37 @@ def test_spectrum_stats_flat(flat3):
     assert st_.distinct_count == 1
     assert st_.min_positive_gap is None
     assert st_.repetition_rate == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 2.0, 3.0],
+                                    [0.1, 0.2, 0.30000000000000004],
+                                    [0.1, 0.7, 1e16, 3.0]])
+def test_spectrum_distinct_values_match_np_unique(values):
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 9, 40):
+        d = np.triu(rng.choice(values, size=(n, n)), 1)
+        inst = Instance(name="ties", family=Family.CUSTOM, distances=d + d.T)
+        want = np.unique(inst.pair_values())
+        got = spectrum_stats(inst).distinct_values
+        assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    for fam in (Family.SOM, Family.GKD, Family.MDG):
+        inst = generate(GeneratorSpec(family=fam, n=30, m=4, seed=2))
+        want = tuple(float(v) for v in np.unique(inst.pair_values()))
+        assert spectrum_stats(inst).distinct_values == want
+
+
+def test_spectrum_and_geometry_leave_numpy_ma_unloaded():
+    # np.unique and np.setdiff1d import numpy.ma (about 1.4 MiB) on first use
+    code = ("import sys, divopt as dv; before = 'numpy.ma' in sys.modules; "
+            "inst = dv.generate(dv.GeneratorSpec(dv.Family.GKD_D, 12, 3, 0)); "
+            "res = dv.solve_maxmin_improved(inst, 3); "
+            "dv.geometry_stats(inst, res.solution); "
+            "print(before, 'numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.split()
+    assert out[1] == out[0]
 
 
 # ---------------------------------------------------------------------------

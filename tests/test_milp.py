@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import divopt.milp
 from divopt import (Family, FormulationKind, GeneratorSpec, Instance,
-                    compute_constants, emit, generate, parse_solution_vector,
-                    verify_external)
+                    TighteningConstants, compute_constants, emit, generate,
+                    parse_solution_vector, verify_external)
 
 GOLDEN_MAXMINSUM = """\
 \\ instance: t4
@@ -175,3 +176,37 @@ def test_constants_with_zero_distances():
     assert c.C == 3.0
     assert c.L == (0.0, 0.0, 0.0)
     assert c.U == (2.0, 2.0, 0.0)
+
+
+def _numpy_indexed_constants(instance):
+    # compute_constants as it read numpy scalars d[i, j]
+    d = instance.distances
+    n = instance.n
+    d_bar = tuple(float(sum(max(0.0, d[i, j]) for j in range(i + 1, n)))
+                  for i in range(n))
+    d_dbar = tuple(float(sum(min(0.0, d[i, j]) for j in range(i + 1, n)))
+                   for i in range(n))
+    upper = tuple(float(sum(max(0.0, d[i, j]) for j in range(n) if j != i))
+                  for i in range(n))
+    lower = tuple(float(sum(min(0.0, d[i, j]) for j in range(n) if j != i))
+                  for i in range(n))
+    return TighteningConstants(C=float(d.max()) + 1.0, D_bar=d_bar,
+                               D_dbar=d_dbar, U_plus=1.0 + max(upper),
+                               L=lower, U=upper, L_minus=min(lower))
+
+
+@pytest.mark.parametrize("family,n,seed", [("gkd-d", 12, 0), ("mdg", 10, 3),
+                                           ("gkd", 9, 5)])
+def test_lp_text_same_as_numpy_indexed_constants(monkeypatch, family, n, seed):
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=4,
+                                  seed=seed))
+    l = float(np.median(inst.distances[np.triu_indices(n, 1)]))
+    kinds = list(FormulationKind)
+    got = [emit(inst, kind, m=4, l=l) for kind in kinds]
+    assert compute_constants(inst) == _numpy_indexed_constants(inst)
+    monkeypatch.setattr(divopt.milp, "compute_constants",
+                        _numpy_indexed_constants)
+    want = [emit(inst, kind, m=4, l=l) for kind in kinds]
+    assert len(kinds) == 7
+    for kind, a, b in zip(kinds, got, want):
+        assert a.encode() == b.encode(), kind

@@ -15,7 +15,8 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     feasible_subset, generate, max_packing, solve_bilevel,
                     solve_maxmin_improved, solve_maxmin_original,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
-from divopt.solvers import _combination_blocks, _score_block, _score_plain
+from divopt.solvers import (_combination_blocks, _score_block, _score_plain,
+                            _sum_completion_bound)
 
 
 def _edges(graph):
@@ -405,6 +406,129 @@ def test_bilevel_sandwich_random(seed):
     assert eval_maxmin(inst, res.chosen) == res.d_star
     best_sum = solve_maxsum_bnb(inst, 3).value
     assert res.upper_value <= best_sum + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# subset walker: MaxSum B&B, exact bi-level and MaxMin enumeration
+# ---------------------------------------------------------------------------
+
+def _generator_sort_bound(D, chosen, remaining, need):
+    # the completion bound as a generator over each row and a sort
+    scores = []
+    for v in remaining:
+        row = D[v]
+        to_chosen = 0.0
+        for s in chosen:
+            to_chosen += row[s]
+        others = sorted((row[u] for u in remaining if u != v), reverse=True)
+        scores.append(to_chosen + 0.5 * sum(others[:need - 1]))
+    scores.sort(reverse=True)
+    return sum(scores[:need])
+
+
+@pytest.mark.parametrize("values", TIE_VALUES)
+def test_sum_completion_bound_bit_identical(values):
+    rng = np.random.default_rng(5)
+    checked = 0
+    for seed in range(12):
+        n = int(rng.integers(6, 16))
+        D = _tie_heavy(seed, n, values).distances.tolist()
+        for _ in range(25):
+            order = [int(v) for v in rng.permutation(n)]
+            k = int(rng.integers(0, n - 1))
+            chosen = order[:k]
+            # sparse, sorted candidate sets, down to exactly need of them
+            pool = sorted(order[k:])
+            r = int(rng.integers(1, len(pool) + 1))
+            remaining = tuple(sorted(int(v) for v in
+                                     rng.choice(pool, size=r, replace=False)))
+            for need in sorted({1, r, int(rng.integers(1, r + 1))}):
+                gains = []
+                for v in remaining:
+                    gain = 0.0
+                    for s in chosen:
+                        gain += D[v][s]
+                    gains.append(gain)
+                got = _sum_completion_bound(D, gains, remaining, need)
+                want = _generator_sort_bound(D, chosen, remaining, need)
+                assert got.hex() == want.hex(), (seed, chosen, remaining, need)
+                checked += 1
+    assert checked > 600
+
+
+# (family, n, m, seed): MaxSum B&B (value hex, subset, nodes) and exact
+# bi-level (optima_enumerated, chosen, upper_value hex) for MaxSum and
+# MaxMinSum, as the per-algorithm DFS bodies gave them before the walker
+WALKER_PINS = [
+    (("gkd-d", 25, 5, 3),
+     ("0x1.71048264d3b73p+9", (5, 14, 21, 22, 23), 2652),
+     (4, (5, 9, 10, 21, 22), "0x1.57a626063708cp+9"),
+     (14, (5, 9, 10, 21, 22), "0x1.a2d50ce985064p+7")),
+    (("gkd-d", 24, 6, 1),
+     ("0x1.1051c0b407c09p+10", (1, 6, 11, 12, 14, 20), 1690),
+     (2, (6, 8, 9, 11, 12, 20), "0x1.ed0d779e256e6p+9"),
+     (9, (6, 8, 9, 11, 12, 20), "0x1.ea06b1619c25cp+7")),
+    (("mdg", 22, 5, 1),
+     ("0x1.414fddb5e2b04p+6", (3, 5, 6, 13, 16), 627),
+     (1, (3, 5, 15, 16, 18), "0x1.3f80ef9553069p+6"),
+     (1, (3, 5, 15, 16, 18), "0x1.e9b911c45effap+4")),
+    (("mdg", 28, 4, 5),
+     ("0x1.b7358e2c44452p+5", (3, 6, 14, 20), 669),
+     (1, (0, 3, 5, 21), "0x1.a988cd531d9edp+5"),
+     (1, (0, 3, 5, 21), "0x1.96ca52a61825ap+4")),
+    (("som", 24, 6, 1),
+     ("0x1.a400000000000p+6", (3, 6, 11, 19, 20, 21), 1933),
+     (3, (3, 6, 10, 12, 13, 20), "0x1.9000000000000p+6"),
+     (23, (0, 6, 12, 13, 20, 23), "0x1.f000000000000p+4")),
+    (("som", 26, 4, 7),
+     ("0x1.8800000000000p+5", (0, 13, 16, 18), 430),
+     (3, (8, 17, 21, 25), "0x1.8800000000000p+5"),
+     (5, (0, 11, 17, 25), "0x1.7000000000000p+4")),
+]
+
+
+@pytest.mark.parametrize("spec,bnb,bi_sum,bi_minsum", WALKER_PINS)
+def test_walker_keeps_pinned_results(spec, bnb, bi_sum, bi_minsum):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    res = solve_maxsum_bnb(inst, m)
+    assert res.status is SolveStatus.OPTIMAL
+    assert (res.value.hex(), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored) == bnb
+    for upper, want in ((ObjectiveKind.MAXSUM, bi_sum),
+                        (ObjectiveKind.MAXMINSUM, bi_minsum)):
+        bi = solve_bilevel(inst, m, upper, mode="exact")
+        assert (bi.optima_enumerated, tuple(bi.chosen),
+                bi.upper_value.hex()) == want
+
+
+@pytest.mark.parametrize("family,n,m,seed", [
+    ("som", 16, 4, 2), ("som", 20, 4, 5), ("gkd-d", 20, 4, 3),
+    ("gkd", 16, 4, 4), ("mdg", 20, 3, 4)])
+def test_enumerate_maxmin_equals_brute_filter(family, n, m, seed):
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    z = solve_maxmin_improved(inst, m).value
+    want = [c for c in itertools.combinations(range(n), m)
+            if eval_maxmin(inst, Solution(c)) == z]
+    en = enumerate_maxmin_optima(inst, m)
+    assert [tuple(s) for s in en] == want
+    assert not en.truncated and en.value == z
+    first = enumerate_maxmin_optima(inst, m, cap=1)
+    assert [tuple(s) for s in first] == want[:1]
+    assert first.truncated == (len(want) > 1)
+    full = enumerate_maxmin_optima(inst, m, cap=len(want))
+    assert [tuple(s) for s in full] == want
+    assert not full.truncated
+
+
+def test_exact_bilevel_node_budget_raises():
+    inst = generate(GeneratorSpec(family=Family.SOM, n=24, m=6, seed=1))
+    # enough nodes for the MaxMin probes, too few for the subset walk
+    with pytest.raises(BudgetExceededError, match="exact bi-level"):
+        solve_bilevel(inst, 6, ObjectiveKind.MAXMINSUM, mode="exact",
+                      budget=SolverBudget(max_nodes=50))
 
 
 # ---------------------------------------------------------------------------
