@@ -2,8 +2,10 @@
 """Head-to-head of the two exact MaxMin methods on generated instances.
 
 For each instance both methods must return the same optimum; the table
-contrasts how many feasibility/packing problems each one solves and how
-long it takes.  The index-bisection method probes sorted distinct
+contrasts how many feasibility/packing problems each one solves, how many
+search nodes those solves visit and how long they take.  Node counts are
+deterministic, so comparing them across two checkouts shows whether a
+kernel change kept the search tree.  The index-bisection method probes sorted distinct
 distances, the interval-subdivision method halves a numeric bracket, so
 their solve counts differ even though both are logarithmic.
 """
@@ -32,8 +34,8 @@ def main() -> int:
     family = dv.Family.from_string(args.family)
     rows = []
     header = (f"{'instance':28s} {'z*':>12s} {'idx solves':>10s} "
-              f"{'bound':>5s} {'idx s':>7s} {'sub solves':>10s} {'q':>3s} "
-              f"{'sub s':>7s}")
+              f"{'bound':>5s} {'idx nodes':>9s} {'idx s':>7s} "
+              f"{'sub solves':>10s} {'q':>3s} {'sub nodes':>9s} {'sub s':>7s}")
     print(header)
     print("-" * len(header))
     for k in range(args.count):
@@ -52,15 +54,20 @@ def main() -> int:
             return 1
         distinct = dv.spectrum_stats(inst).distinct_count
         bound = math.ceil(math.log2(distinct)) + 1
+        a_nodes = a.stats.subsets_or_nodes_explored
+        b_nodes = b.stats.subsets_or_nodes_explored
         print(f"{inst.name:28s} {a.value:12.5f} "
-              f"{a.stats.decision_solves:10d} {bound:5d} {ta:7.3f} "
-              f"{b.stats.decision_solves:10d} {b.stats.q_used:3d} {tb:7.3f}")
-        rows.append((inst.name, a.value, a.stats.decision_solves, bound, ta,
-                     b.stats.decision_solves, b.stats.q_used, tb))
+              f"{a.stats.decision_solves:10d} {bound:5d} {a_nodes:9d} "
+              f"{ta:7.3f} {b.stats.decision_solves:10d} {b.stats.q_used:3d} "
+              f"{b_nodes:9d} {tb:7.3f}")
+        rows.append((inst.name, a.value, a.stats.decision_solves, bound,
+                     a_nodes, ta, b.stats.decision_solves, b.stats.q_used,
+                     b_nodes, tb))
 
     if args.csv:
-        lines = ["instance,z_star,index_solves,index_bound,index_seconds,"
-                 "subdiv_solves,subdiv_q,subdiv_seconds"]
+        lines = ["instance,z_star,index_solves,index_bound,index_nodes,"
+                 "index_seconds,subdiv_solves,subdiv_q,subdiv_nodes,"
+                 "subdiv_seconds"]
         for r in rows:
             lines.append(",".join(str(v) for v in r))
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -159,12 +159,20 @@ def build_threshold_graph(instance: Instance, l: float) -> ThresholdGraph:
                           edge_count=int(closer.sum()) // 2)
 
 
+# _BYTE_OFFSETS[b]: the positions of the set bits of the byte b, ascending
+# (bytes rather than tuples: half the memory, iterated as fast)
+_BYTE_OFFSETS = tuple(bytes(i for i in range(8) if b >> i & 1)
+                      for b in range(256))
+
+
 def _bits_to_nodes(bits: int) -> tuple[int, ...]:
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    base = 0
+    for byte in bits.to_bytes((bits.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for i in _BYTE_OFFSETS[byte]:
+                out.append(base + i)
+        base += 8
     return tuple(out)
 
 
@@ -189,6 +197,38 @@ def _check_limits(nodes: int, max_nodes: Optional[int],
         raise _Exhausted
 
 
+def _clique_cover_size(cand: int, adj: tuple[int, ...], stop: int) -> int:
+    """Size of a greedy clique cover of cand, counted no further than stop.
+
+    Each clique grows from the lowest remaining vertex through the
+    lowest-index common neighbours.  The cover size bounds the independence
+    number of cand from above; the searches stop counting where the bound
+    can no longer prune.
+    """
+    count = 0
+    rest = cand
+    while rest and count < stop:
+        low = rest & -rest
+        rest ^= low
+        common = adj[low.bit_length() - 1] & rest
+        while common:
+            low = common & -common
+            rest ^= low
+            common &= adj[low.bit_length() - 1]
+        count += 1
+    return count
+
+
+def _max_degree(cand: int, adj: tuple[int, ...]) -> tuple[int, int]:
+    """(vertex, degree) of the lowest-index max-degree vertex of cand."""
+    pick, maxdeg = -1, -1
+    for v in _bits_to_nodes(cand):
+        deg = (adj[v] & cand).bit_count()
+        if deg > maxdeg:
+            pick, maxdeg = v, deg
+    return pick, maxdeg
+
+
 def _find_independent(adj: tuple[int, ...], n: int, m: int,
                       max_nodes: Optional[int], deadline: Optional[float],
                       ) -> tuple[Optional[int], int, bool]:
@@ -196,7 +236,8 @@ def _find_independent(adj: tuple[int, ...], n: int, m: int,
 
     Returns (bits or None, nodes_explored, decided).  Branches on the
     candidate vertex of maximum degree within the candidate set, excluding
-    it first; prunes when fewer candidates remain than are still needed.
+    it first; prunes when a greedy clique cover of the candidates has fewer
+    cliques than picks are still needed.
     """
     full = (1 << n) - 1
     nodes = 0
@@ -212,25 +253,16 @@ def _find_independent(adj: tuple[int, ...], n: int, m: int,
                 return chosen, nodes, True
             if cand.bit_count() < need:
                 continue
-            # a greedy clique cover of the candidates bounds the best
-            # completion; decisive on the infeasible side of the threshold
-            if _clique_cover_size(cand, adj) < need:
+            # decisive on the infeasible side of the threshold
+            if _clique_cover_size(cand, adj, need) < need:
                 continue
-            pick, maxdeg = -1, -1
-            scan = cand
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                deg = (adj[low.bit_length() - 1] & cand).bit_count()
-                if deg > maxdeg:
-                    maxdeg = deg
-                    pick = low.bit_length() - 1
+            pick, maxdeg = _max_degree(cand, adj)
             if maxdeg == 0:
                 # conflict-free candidates: lowest-index fill completes
                 return chosen | _lowest_bits(cand, need), nodes, True
             bit = 1 << pick
             stack.append((cand & ~(adj[pick] | bit), chosen | bit, need - 1))
-            stack.append((cand & ~bit, chosen, need))
+            stack.append((cand ^ bit, chosen, need))
         return None, nodes, True
     except _Exhausted:
         return None, nodes, False
@@ -283,24 +315,6 @@ def _components(cand: int, adj: tuple[int, ...]) -> list[int]:
     return comps
 
 
-def _clique_cover_size(cand: int, adj: tuple[int, ...]) -> int:
-    # greedy clique cover of the candidate subgraph; its size bounds the
-    # independence number from above
-    count = 0
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        clique = 1 << v
-        common = adj[v] & rest
-        while common:
-            u = (common & -common).bit_length() - 1
-            clique |= 1 << u
-            common &= adj[u]
-        rest &= ~clique
-        count += 1
-    return count
-
-
 def _greedy_independent(cand: int, adj: tuple[int, ...]) -> int:
     sel = 0
     while cand:
@@ -320,37 +334,50 @@ def _greedy_independent(cand: int, adj: tuple[int, ...]) -> int:
     return sel
 
 
-def _reduce_forced(cand: int, adj: tuple[int, ...]) -> tuple[int, int]:
-    """Strip degree-0 and degree-1 vertices; returns (forced picks, rest).
+def _reduce_forced(cand: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
+    """Strip degree-0 and degree-1 vertices; returns (forced, rest, pick).
 
     Isolated candidates always join the packing; a degree-1 vertex can join
-    in place of its sole neighbor without loss.
+    in place of its sole neighbor without loss.  Degree-1 vertices are
+    taken lowest index first, each time in the graph left by the previous
+    take.  pick is the lowest-index max-degree vertex of rest (-1 when rest
+    is empty).
     """
-    forced = 0
-    changed = True
-    while changed:
-        changed = False
-        zero = 0
-        scan = cand
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            v = low.bit_length() - 1
-            nb = adj[v] & cand
-            deg = nb.bit_count()
-            if deg == 0:
-                zero |= low
-            elif deg == 1:
-                forced |= low
-                cand &= ~(nb | low)
-                changed = True
-                break
-        if zero:
-            # isolated vertices never conflict; removing them cannot create
-            # new reductions, so no restart is needed for them alone
-            forced |= zero
-            cand &= ~zero
-    return forced, cand
+    zeros = ones = 0
+    pick, maxdeg = -1, 1
+    for v in _bits_to_nodes(cand):
+        deg = (adj[v] & cand).bit_count()
+        if deg < 2:
+            if deg:
+                ones |= 1 << v
+            else:
+                zeros |= 1 << v
+        elif deg > maxdeg:
+            pick, maxdeg = v, deg
+    forced = zeros
+    cand ^= zeros
+    if ones:
+        while ones:
+            low = ones & -ones
+            nb = adj[low.bit_length() - 1] & cand
+            forced |= low
+            cand ^= low | nb
+            ones &= ~(low | nb)
+            # only the neighbours of the removed neighbour lose a degree
+            touched = adj[nb.bit_length() - 1] & cand
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                deg = (adj[low.bit_length() - 1] & cand).bit_count()
+                if deg == 1:
+                    ones |= low
+                elif deg == 0:
+                    # it had degree 1, so it sits in ones
+                    ones ^= low
+                    forced |= low
+                    cand ^= low
+        pick = _max_degree(cand, adj)[0]
+    return forced, cand, pick
 
 
 class _MisSearch:
@@ -370,7 +397,7 @@ class _MisSearch:
     def solve(self, cand: int) -> int:
         """Exact MIS bits of the subgraph induced by cand."""
         self._tick()
-        forced, cand = _reduce_forced(cand, self.adj)
+        forced, cand, _ = _reduce_forced(cand, self.adj)
         if cand == 0:
             return forced
         comps = _components(cand, self.adj)
@@ -389,7 +416,7 @@ class _MisSearch:
         def bb(cand: int, cur_bits: int, cur: int) -> None:
             nonlocal best, best_bits
             self._tick()
-            forced, cand = _reduce_forced(cand, adj)
+            forced, cand, pick = _reduce_forced(cand, adj)
             if forced:
                 cur_bits |= forced
                 cur += forced.bit_count()
@@ -397,27 +424,19 @@ class _MisSearch:
                 if cur > best:
                     best, best_bits = cur, cur_bits
                 return
-            while cand:
-                if cur + _clique_cover_size(cand, adj) <= best:
+            while True:
+                if cur + _clique_cover_size(cand, adj, best - cur + 1) <= best:
                     return
-                pick, maxdeg = -1, -1
-                scan = cand
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    deg = (adj[low.bit_length() - 1] & cand).bit_count()
-                    if deg > maxdeg:
-                        maxdeg = deg
-                        pick = low.bit_length() - 1
+                if pick < 0:
+                    pick = _max_degree(cand, adj)[0]
                 bit = 1 << pick
                 # include pick (recursive), then loop on as the exclude branch
                 bb(cand & ~(adj[pick] | bit), cur_bits | bit, cur + 1)
-                cand &= ~bit
-                if cand and cand.bit_count() + cur <= best:
-                    return
-                if cand == 0:
-                    if cur > best:
-                        best, best_bits = cur, cur_bits
+                cand ^= bit
+                pick = -1
+                # the include branch left best >= cur + 1, so an empty
+                # exclude branch returns here too
+                if cand.bit_count() + cur <= best:
                     return
 
         bb(cand, 0, 0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -15,8 +16,9 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     feasible_subset, generate, max_packing, solve_bilevel,
                     solve_maxmin_improved, solve_maxmin_original,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
-from divopt.solvers import (_combination_blocks, _score_block, _score_plain,
-                            _sum_completion_bound)
+from divopt.solvers import (_bits_to_nodes, _clique_cover_size,
+                            _combination_blocks, _reduce_forced, _score_block,
+                            _score_plain, _sum_completion_bound)
 
 
 def _edges(graph):
@@ -529,6 +531,223 @@ def test_exact_bilevel_node_budget_raises():
     with pytest.raises(BudgetExceededError, match="exact bi-level"):
         solve_bilevel(inst, 6, ObjectiveKind.MAXMINSUM, mode="exact",
                       budget=SolverBudget(max_nodes=50))
+
+
+# ---------------------------------------------------------------------------
+# MaxMin decision and packing kernels
+# ---------------------------------------------------------------------------
+
+def _trace_digest(trace):
+    # SearchStats.trace records, floats as hex, hashed to keep the pins short
+    text = ";".join(",".join(x.hex() if isinstance(x, float) else repr(x)
+                             for x in rec) for rec in trace)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _random_subsets(rng, n, count):
+    # candidate sets from a handful of vertices up to all n
+    for _ in range(count):
+        keep = rng.random(n) < rng.uniform(0.1, 1.0)
+        yield sum(1 << int(v) for v in np.flatnonzero(keep))
+
+
+def _graphs(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 131))
+        yield rng, n, _random_graph(rng, n, rng.uniform(0.05, 0.9))
+
+
+def _bit_loop_nodes(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def _full_cover(cand, adj):
+    # the greedy clique cover counted to the end, as a clique mask per step
+    count = 0
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        clique = 1 << v
+        common = adj[v] & rest
+        while common:
+            u = (common & -common).bit_length() - 1
+            clique |= 1 << u
+            common &= adj[u]
+        rest &= ~clique
+        count += 1
+    return count
+
+
+def _restart_reduce(cand, adj):
+    # degree-0/1 reduction that rescans from the lowest index after each pick
+    forced = 0
+    changed = True
+    while changed:
+        changed = False
+        zero = 0
+        scan = cand
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            nb = adj[low.bit_length() - 1] & cand
+            deg = nb.bit_count()
+            if deg == 0:
+                zero |= low
+            elif deg == 1:
+                forced |= low
+                cand &= ~(nb | low)
+                changed = True
+                break
+        forced |= zero
+        cand &= ~zero
+    return forced, cand
+
+
+def test_bits_to_nodes_matches_bit_loop():
+    rng = np.random.default_rng(11)
+    masks = [0, 1 << 149] + [1 << v for v in range(150)]
+    masks += [int.from_bytes(rng.bytes(19), "little") >> int(rng.integers(0, 150))
+              for _ in range(300)]
+    for bits in masks:
+        assert _bits_to_nodes(bits) == _bit_loop_nodes(bits)
+    assert _bits_to_nodes(0) == ()
+    assert _bits_to_nodes(1 << 149) == (149,)
+
+
+def test_clique_cover_size_stops_at_the_bound():
+    checked = 0
+    for rng, n, adj in _graphs(21, 40):
+        for cand in _random_subsets(rng, n, 10):
+            full = _full_cover(cand, adj)
+            for stop in {1, 2, full, full + 1, int(rng.integers(1, n + 2))}:
+                assert _clique_cover_size(cand, adj, stop) == min(full, stop)
+                checked += 1
+    assert checked > 1000
+
+
+def test_reduce_forced_matches_restart_scan():
+    picks = 0
+    for rng, n, adj in _graphs(22, 80):
+        for cand in _random_subsets(rng, n, 10):
+            forced, rest, pick = _reduce_forced(cand, adj)
+            assert (forced, rest) == _restart_reduce(cand, adj)
+            # a degree-1 pick drops its neighbour from both sets
+            picks += cand & ~(forced | rest) != 0
+            nodes = _bit_loop_nodes(rest)
+            degrees = [(adj[v] & rest).bit_count() for v in nodes]
+            if rest:
+                want = nodes[degrees.index(max(degrees))]
+                assert pick == want
+                assert min(degrees) >= 2
+            else:
+                assert pick == -1
+    assert picks > 100
+
+
+# (family, n, m, seed): solve_maxmin_improved and solve_maxmin_original as
+# (value hex, subset, nodes, decision_solves, trace digest); at z* the
+# feasible_subset (nodes, witness) and max_packing (nodes, witness); at the
+# next distinct value above z* the infeasible feasible_subset's nodes and
+# max_packing (nodes, witness).  Recorded from the kernels before their
+# same-tree rewrite: any change here is a change of the search tree.
+MAXMIN_TREE_PINS = [
+    (('gkd-d', 60, 8, 9),
+     ('0x1.359bfe966c3d7p+5', (1, 8, 19, 20, 30, 43, 57, 59),
+      2858, 11, 'c134be8fa5092917'),
+     ('0x1.359bfe966c3d7p+5', (1, 8, 19, 20, 30, 43, 57, 59),
+      1834, 14, '211abaee8b4dcfd7'),
+     (103, (1, 8, 19, 20, 30, 43, 57, 59), 45, (1, 8, 19, 20, 30, 43, 57, 59)),
+     (521, 239, (1, 8, 18, 19, 20, 43, 59))),
+    (('gkd-d', 70, 6, 2),
+     ('0x1.7b2e99a76ab0ap+5', (3, 8, 30, 35, 38, 67),
+      1683, 11, '02097377256f2bc6'),
+     ('0x1.7b2e99a76ab0ap+5', (3, 7, 8, 30, 35, 38),
+      1257, 12, 'edaf484999b59958'),
+     (55, (3, 8, 30, 35, 38, 67), 88, (3, 7, 8, 30, 35, 38)),
+     (291, 134, (3, 6, 8, 19, 30))),
+    (('gkd', 50, 7, 3),
+     ('0x1.27ee04c059210p+4', (9, 10, 14, 17, 42, 45, 49),
+      511, 10, 'b2cf2b377502822a'),
+     ('0x1.27ee04c059210p+4', (2, 8, 9, 10, 14, 17, 42),
+      424, 12, '2293c02f9f880769'),
+     (44, (9, 10, 14, 17, 42, 45, 49), 42, (2, 8, 9, 10, 14, 17, 42)),
+     (69, 36, (5, 9, 10, 16, 27, 42))),
+    (('gkd', 60, 6, 4),
+     ('0x1.df419e30014f9p+2', (9, 15, 25, 29, 37, 53),
+      749, 11, 'ff364b730727c779'),
+     ('0x1.df419e30014f9p+2', (7, 15, 25, 29, 37, 53),
+      524, 12, '3893d4e6b67ca015'),
+     (55, (9, 15, 25, 29, 37, 53), 61, (7, 15, 25, 29, 37, 53)),
+     (93, 48, (3, 5, 15, 18, 29))),
+    (('mdg', 60, 6, 6),
+     ('0x1.bdfb96dfe6bf1p+2', (11, 24, 36, 39, 44, 46),
+      976, 11, 'd0ff232d783568ad'),
+     ('0x1.bdfb96dfe6bf1p+2', (11, 24, 36, 39, 44, 46),
+      646, 10, '65a4cad5263164e9'),
+     (60, (11, 24, 36, 39, 44, 46), 52, (11, 24, 36, 39, 44, 46)),
+     (121, 60, (0, 4, 20, 24, 42))),
+    (('mdg', 70, 7, 11),
+     ('0x1.88023ee32fe0bp+2', (21, 24, 33, 41, 53, 61, 69),
+      2808, 11, '573ffcc4898af5c6'),
+     ('0x1.88023ee32fe0bp+2', (21, 24, 33, 41, 53, 61, 69),
+      2091, 12, 'b86a371247b65c13'),
+     (261, (21, 24, 33, 41, 53, 61, 69), 149, (21, 24, 33, 41, 53, 61, 69)),
+     (423, 212, (23, 27, 33, 41, 48, 52))),
+    (('som', 50, 6, 8),
+     ('0x1.8000000000000p+2', (5, 12, 13, 22, 25, 43),
+      182, 3, 'a2fe1a95af5ddced'),
+     ('0x1.8000000000000p+2', (9, 26, 29, 30, 34, 43),
+      254, 4, 'd2c8791b00559394'),
+     (64, (5, 12, 13, 22, 25, 43), 63, (9, 26, 29, 30, 34, 43)),
+     (73, 66, (5, 17, 21, 22, 43))),
+    (('som', 70, 6, 10),
+     ('0x1.c000000000000p+2', (0, 5, 8, 15, 26, 66),
+      284, 3, 'c7eee4ae7189edf8'),
+     ('0x1.c000000000000p+2', (0, 5, 8, 15, 26, 66),
+      439, 3, '6719a31d7a134dcf'),
+     (121, (0, 5, 8, 15, 26, 66), 85, (0, 5, 8, 15, 26, 66)),
+     (99, 65, (3, 22, 50, 68))),
+]
+
+
+@pytest.mark.parametrize("spec,improved,original,at_z,above",
+                         MAXMIN_TREE_PINS)
+def test_maxmin_search_trees_pinned(spec, improved, original, at_z, above):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    for solve, want in ((solve_maxmin_improved, improved),
+                        (solve_maxmin_original, original)):
+        res = solve(inst, m)
+        assert res.status is SolveStatus.OPTIMAL
+        assert (res.value.hex(), tuple(res.solution),
+                res.stats.subsets_or_nodes_explored, res.stats.decision_solves,
+                _trace_digest(res.stats.trace)) == want
+    values = spectrum_stats(inst).distinct_values
+    k = values.index(float.fromhex(improved[0]))
+    yes = feasible_subset(inst, values[k], m)
+    pack = max_packing(inst, values[k])
+    assert yes.status is SolveStatus.FEASIBLE
+    assert (yes.stats.subsets_or_nodes_explored, tuple(yes.solution),
+            pack.stats.subsets_or_nodes_explored, tuple(pack.solution)) == at_z
+    no = feasible_subset(inst, values[k + 1], m)
+    pack = max_packing(inst, values[k + 1])
+    assert no.status is SolveStatus.INFEASIBLE
+    assert pack.status is SolveStatus.OPTIMAL and pack.value < m
+    assert (no.stats.subsets_or_nodes_explored,
+            pack.stats.subsets_or_nodes_explored, tuple(pack.solution)) == above
 
 
 # ---------------------------------------------------------------------------
