@@ -222,10 +222,16 @@ def _clique_cover_size(cand: int, adj: tuple[int, ...], stop: int) -> int:
 def _max_degree(cand: int, adj: tuple[int, ...]) -> tuple[int, int]:
     """(vertex, degree) of the lowest-index max-degree vertex of cand."""
     pick, maxdeg = -1, -1
-    for v in _bits_to_nodes(cand):
-        deg = (adj[v] & cand).bit_count()
-        if deg > maxdeg:
-            pick, maxdeg = v, deg
+    base = 0
+    # the vertices of cand ascending, as _bits_to_nodes lists them
+    for byte in cand.to_bytes((cand.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for v in _BYTE_OFFSETS[byte]:
+                v += base
+                deg = (adj[v] & cand).bit_count()
+                if deg > maxdeg:
+                    pick, maxdeg = v, deg
+        base += 8
     return pick, maxdeg
 
 
@@ -345,15 +351,20 @@ def _reduce_forced(cand: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
     """
     zeros = ones = 0
     pick, maxdeg = -1, 1
-    for v in _bits_to_nodes(cand):
-        deg = (adj[v] & cand).bit_count()
-        if deg < 2:
-            if deg:
-                ones |= 1 << v
-            else:
-                zeros |= 1 << v
-        elif deg > maxdeg:
-            pick, maxdeg = v, deg
+    base = 0
+    for byte in cand.to_bytes((cand.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for v in _BYTE_OFFSETS[byte]:
+                v += base
+                deg = (adj[v] & cand).bit_count()
+                if deg < 2:
+                    if deg:
+                        ones |= 1 << v
+                    else:
+                        zeros |= 1 << v
+                elif deg > maxdeg:
+                    pick, maxdeg = v, deg
+        base += 8
     forced = zeros
     cand ^= zeros
     if ones:
@@ -819,24 +830,65 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
 
     Sum-type values match the optimum within relative tolerance; MaxMin
     matches exactly (delegated to the threshold enumeration, which scales
-    past brute force).
+    past brute force).  The optimum is brute_force's: the value of the
+    first best subset.  One walk finds it and keeps the rows near the
+    running best; a second walk runs only where the kept rows cannot prove
+    the list (a dropped row lies within tolerance of the optimum, or the
+    cap stopped the keeping before the cap+1-th hit).
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     if kind is ObjectiveKind.MAXMIN:
         return enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
     budget = budget or _NO_BUDGET
-    base = brute_force(instance, m, kind, budget)
-    if base.status is SolveStatus.BUDGET_EXCEEDED:
+    start = time.perf_counter()
+    sizes, total = _subset_sizes(instance, m, kind)
+    if budget.max_subsets is not None and total > budget.max_subsets:
         raise BudgetExceededError("enumeration bound exceeds budget")
-    if base.status is not SolveStatus.OPTIMAL:
-        raise BudgetExceededError("optimum not proven within time budget")
-    opt = base.value
-    tol = tolerance * max(1.0, abs(opt))
-    sizes, _ = _subset_sizes(instance, m, kind)
-    found: list[Solution] = []
+    deadline = budget.deadline(start)
+    D = instance.distances
+    # MIN scores enter negated, so larger is better and |a - b| is kept
+    sign = 1.0 if kind.sense is Sense.MAX else -1.0
+    best, best_combo = -inf, None
+    near = []  # (scores, rows) near the best so far, in walk order
+    kept = 0  # rows in near; past cap, later rows only move the best
+    dropped = -inf  # the best score of a row seen and not kept
     for block in _combination_blocks(instance.n, sizes):
-        hits = np.abs(_score_block(instance.distances, block, kind) - opt) <= tol
+        if best_combo is not None and deadline is not None \
+                and time.perf_counter() > deadline:
+            raise BudgetExceededError("optimum not proven within time budget")
+        scores = _score_block(D, block, kind)
+        if sign < 0:
+            scores = -scores
+        # the first best row of a block is its lexicographically smallest
+        row = int(scores.argmax())
+        val, combo = float(scores[row]), tuple(block[row].tolist())
+        if best_combo is None or val > best \
+                or (val == best and combo < best_combo):
+            best, best_combo = val, combo
+        if kept > cap:
+            continue
+        keep = scores >= best - 2.0 * tolerance * max(1.0, abs(best))
+        if not keep.all():
+            dropped = max(dropped, float(scores[~keep].max()))
+        rows = block[keep][:cap + 1 - kept]
+        near.append((scores[keep][:len(rows)], rows))
+        kept += len(rows)
+
+    opt = evaluate(kind, instance, Solution(best_combo))
+    tol = tolerance * max(1.0, abs(opt))
+    signed_opt = sign * opt
+    # |s - opt| only grows as s falls below opt: if the best dropped row
+    # misses, every dropped row does
+    if dropped <= signed_opt and abs(dropped - signed_opt) > tol:
+        found = [Solution(r.tolist()) for sc, rows in near
+                 for r in rows[np.abs(sc - signed_opt) <= tol]]
+        if kept <= cap or len(found) > cap:
+            return OptimaEnumeration(solutions=tuple(found[:cap]),
+                                     truncated=len(found) > cap, value=opt)
+    found = []
+    for block in _combination_blocks(instance.n, sizes):
+        hits = np.abs(_score_block(D, block, kind) - opt) <= tol
         for row in np.flatnonzero(hits):
             if len(found) == cap:
                 return OptimaEnumeration(solutions=tuple(found),

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
-                    Sense, evaluate,
+from divopt import (DEFAULT_OPTIMA_CAP, Family, GeneratorSpec, Instance,
+                    ObjectiveKind, Solution, Sense, evaluate,
                     BudgetExceededError, SolveStatus, SolverBudget,
                     brute_force, build_threshold_graph,
                     default_subinterval_exponent, enumerate_maxmin_optima,
@@ -17,8 +17,9 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     solve_maxmin_improved, solve_maxmin_original,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
 from divopt.solvers import (_bits_to_nodes, _clique_cover_size,
-                            _combination_blocks, _reduce_forced, _score_block,
-                            _score_plain, _sum_completion_bound)
+                            _combination_blocks, _max_degree, _reduce_forced,
+                            _score_block, _score_plain,
+                            _sum_completion_bound)
 
 
 def _edges(graph):
@@ -323,6 +324,84 @@ def test_brute_force_time_limit_gives_feasible_subset():
     assert len(res.solution) == 6
     assert res.value == evaluate(ObjectiveKind.MINDIFF, inst, res.solution)
     assert 0 < res.stats.subsets_or_nodes_explored < math.comb(20, 6)
+
+
+def _two_walk_optima(inst, m, kind, cap, tolerance):
+    # enumerate_optima as two walks: brute_force's optimum, then every row
+    # within tolerance of it
+    opt = brute_force(inst, m, kind).value
+    tol = tolerance * max(1.0, abs(opt))
+    sizes = range(1, inst.n + 1) if m is None else [m]
+    found = []
+    for block in _combination_blocks(inst.n, sizes):
+        hits = np.abs(_score_block(inst.distances, block, kind) - opt) <= tol
+        for row in np.flatnonzero(hits):
+            if len(found) == cap:
+                return found, True, opt
+            found.append(tuple(block[row].tolist()))
+    return found, False, opt
+
+
+def _near_ties(seed, n):
+    # pairs of values a few tolerances apart, at two scales
+    rng = np.random.default_rng(seed)
+    base = rng.choice([1.0, 2.0, 1000.0], size=(n, n))
+    wiggle = rng.choice([0.0, 1e-9, 3e-9, -2e-9], size=(n, n))
+    d = np.triu(base * (1.0 + wiggle), 1)
+    return Instance(name=f"near{seed}", family=Family.CUSTOM,
+                    distances=d + d.T)
+
+
+@pytest.mark.parametrize("block_rows", [5, 4096])
+def test_enumerate_optima_one_walk_matches_two_walks(monkeypatch, block_rows):
+    import divopt.solvers as solvers
+    monkeypatch.setattr(solvers, "_BLOCK_ROWS", block_rows)
+    walks = []
+    blocks = solvers._combination_blocks
+
+    def counted(n, sizes):
+        walks.append(n)
+        return blocks(n, sizes)
+
+    monkeypatch.setattr(solvers, "_combination_blocks", counted)
+    insts = [_tie_heavy(seed, n, values)
+             for seed, n in enumerate((6, 7, 8, 9))
+             for values in TIE_VALUES + [[1.0, 2.0], [5.0]]]
+    insts += [_near_ties(seed, n) for seed, n in enumerate((7, 8, 9))]
+    checked = second_walks = 0
+    for inst in insts:
+        for kind in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM,
+                     ObjectiveKind.MINDIFF, ObjectiveKind.MAXMEAN):
+            ms = [None] if kind is ObjectiveKind.MAXMEAN else [2, 3, 5]
+            # tolerance 0: evaluate can put the optimum an ulp below the
+            # best block score (ties2, MaxSum m=5), so that the hits are rows
+            # the walk dropped; 0.2 fills the small caps with near misses
+            for m, cap, tolerance in itertools.product(
+                    ms, (1, 3, DEFAULT_OPTIMA_CAP), (1e-9, 0.0, 0.2)):
+                want, truncated, opt = _two_walk_optima(inst, m, kind, cap,
+                                                        tolerance)
+                before = len(walks)
+                en = enumerate_optima(inst, m, kind, cap=cap,
+                                      tolerance=tolerance)
+                assert ([tuple(s) for s in en.solutions], en.truncated,
+                        en.value) == (want, truncated, opt)
+                checked += 1
+                second_walks += len(walks) - before - 1
+    # both the one-walk proof and the fallback second walk were exercised
+    assert 0 < second_walks < checked / 2
+
+
+def test_enumerate_optima_budgets(t4):
+    with pytest.raises(BudgetExceededError, match="bound exceeds"):
+        enumerate_optima(t4, 3, ObjectiveKind.MAXSUM,
+                         budget=SolverBudget(max_subsets=3))
+    inst = generate(GeneratorSpec(family=Family.MDG, n=20, m=6, seed=1))
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        enumerate_optima(inst, 6, ObjectiveKind.MINDIFF,
+                         budget=SolverBudget(time_limit=1e-9))
+    en = enumerate_optima(t4, 3, ObjectiveKind.MAXSUM,
+                          budget=SolverBudget(max_subsets=4))
+    assert [tuple(s) for s in en.solutions] == [(1, 2, 3)]
 
 
 def test_maxsum_bnb_t4(t4):
@@ -654,6 +733,90 @@ def test_reduce_forced_matches_restart_scan():
             else:
                 assert pick == -1
     assert picks > 100
+
+
+def _bit_loop_max_degree(cand, adj):
+    pick, maxdeg = -1, -1
+    for v in _bit_loop_nodes(cand):
+        deg = (adj[v] & cand).bit_count()
+        if deg > maxdeg:
+            pick, maxdeg = v, deg
+    return pick, maxdeg
+
+
+def _bit_loop_reduce_forced(cand, adj):
+    # _reduce_forced with every vertex walk a low-bit loop
+    zeros = ones = 0
+    pick, maxdeg = -1, 1
+    for v in _bit_loop_nodes(cand):
+        deg = (adj[v] & cand).bit_count()
+        if deg == 0:
+            zeros |= 1 << v
+        elif deg == 1:
+            ones |= 1 << v
+        elif deg > maxdeg:
+            pick, maxdeg = v, deg
+    forced = zeros
+    cand ^= zeros
+    if ones:
+        while ones:
+            low = ones & -ones
+            nb = adj[low.bit_length() - 1] & cand
+            forced |= low
+            cand ^= low | nb
+            ones &= ~(low | nb)
+            for u in _bit_loop_nodes(adj[nb.bit_length() - 1] & cand):
+                deg = (adj[u] & cand).bit_count()
+                if deg == 1:
+                    ones |= 1 << u
+                elif deg == 0:
+                    ones &= ~(1 << u)
+                    forced |= 1 << u
+                    cand ^= 1 << u
+        pick = _bit_loop_max_degree(cand, adj)[0]
+    return forced, cand, pick
+
+
+def _regular_graphs():
+    # every vertex ties on degree: empty, cycles, complete, two cliques
+    for n in (1, 7, 8, 9, 16, 65, 130):
+        yield n, (0,) * n
+        full = (1 << n) - 1
+        yield n, tuple(full ^ (1 << v) for v in range(n))
+        if n > 2:
+            yield n, tuple((1 << (v - 1) % n) | (1 << (v + 1) % n)
+                           for v in range(n))
+        half = n // 2
+        low, high = (1 << half) - 1, full ^ ((1 << half) - 1)
+        yield n, tuple((low if v < half else high) ^ (1 << v)
+                       for v in range(n))
+
+
+def test_degree_scans_match_bit_loop_reference():
+    rng = np.random.default_rng(23)
+    graphs = [(n, adj) for _, n, adj in _graphs(24, 60)]
+    graphs += [(n, _random_graph(rng, n, density))
+               for n in (1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129,
+                         130)
+               for density in (0.05, 0.3, 0.6, 0.9)]
+    graphs += list(_regular_graphs())
+    ties = 0
+    for n, adj in graphs:
+        full = (1 << n) - 1
+        cands = [0, full, 1 << (n - 1)] + [1 << int(v)
+                                           for v in rng.integers(0, n, 3)]
+        cands += list(_random_subsets(rng, n, 8))
+        for cand in cands:
+            want = _bit_loop_max_degree(cand, adj)
+            assert _max_degree(cand, adj) == want
+            degrees = [(adj[v] & cand).bit_count()
+                       for v in _bit_loop_nodes(cand)]
+            ties += degrees.count(want[1]) > 1
+            assert _reduce_forced(cand, adj) == _bit_loop_reduce_forced(cand,
+                                                                         adj)
+    assert _max_degree(0, (0,)) == (-1, -1)
+    assert _reduce_forced(0, (0,)) == (0, 0, -1)
+    assert ties > 300
 
 
 # (family, n, m, seed): solve_maxmin_improved and solve_maxmin_original as
