@@ -830,65 +830,24 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
 
     Sum-type values match the optimum within relative tolerance; MaxMin
     matches exactly (delegated to the threshold enumeration, which scales
-    past brute force).  The optimum is brute_force's: the value of the
-    first best subset.  One walk finds it and keeps the rows near the
-    running best; a second walk runs only where the kept rows cannot prove
-    the list (a dropped row lies within tolerance of the optimum, or the
-    cap stopped the keeping before the cap+1-th hit).
+    past brute force).
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     if kind is ObjectiveKind.MAXMIN:
         return enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
     budget = budget or _NO_BUDGET
-    start = time.perf_counter()
-    sizes, total = _subset_sizes(instance, m, kind)
-    if budget.max_subsets is not None and total > budget.max_subsets:
+    base = brute_force(instance, m, kind, budget)
+    if base.status is SolveStatus.BUDGET_EXCEEDED:
         raise BudgetExceededError("enumeration bound exceeds budget")
-    deadline = budget.deadline(start)
-    D = instance.distances
-    # MIN scores enter negated, so larger is better and |a - b| is kept
-    sign = 1.0 if kind.sense is Sense.MAX else -1.0
-    best, best_combo = -inf, None
-    near = []  # (scores, rows) near the best so far, in walk order
-    kept = 0  # rows in near; past cap, later rows only move the best
-    dropped = -inf  # the best score of a row seen and not kept
-    for block in _combination_blocks(instance.n, sizes):
-        if best_combo is not None and deadline is not None \
-                and time.perf_counter() > deadline:
-            raise BudgetExceededError("optimum not proven within time budget")
-        scores = _score_block(D, block, kind)
-        if sign < 0:
-            scores = -scores
-        # the first best row of a block is its lexicographically smallest
-        row = int(scores.argmax())
-        val, combo = float(scores[row]), tuple(block[row].tolist())
-        if best_combo is None or val > best \
-                or (val == best and combo < best_combo):
-            best, best_combo = val, combo
-        if kept > cap:
-            continue
-        keep = scores >= best - 2.0 * tolerance * max(1.0, abs(best))
-        if not keep.all():
-            dropped = max(dropped, float(scores[~keep].max()))
-        rows = block[keep][:cap + 1 - kept]
-        near.append((scores[keep][:len(rows)], rows))
-        kept += len(rows)
-
-    opt = evaluate(kind, instance, Solution(best_combo))
+    if base.status is not SolveStatus.OPTIMAL:
+        raise BudgetExceededError("optimum not proven within time budget")
+    opt = base.value
     tol = tolerance * max(1.0, abs(opt))
-    signed_opt = sign * opt
-    # |s - opt| only grows as s falls below opt: if the best dropped row
-    # misses, every dropped row does
-    if dropped <= signed_opt and abs(dropped - signed_opt) > tol:
-        found = [Solution(r.tolist()) for sc, rows in near
-                 for r in rows[np.abs(sc - signed_opt) <= tol]]
-        if kept <= cap or len(found) > cap:
-            return OptimaEnumeration(solutions=tuple(found[:cap]),
-                                     truncated=len(found) > cap, value=opt)
-    found = []
+    sizes, _ = _subset_sizes(instance, m, kind)
+    found: list[Solution] = []
     for block in _combination_blocks(instance.n, sizes):
-        hits = np.abs(_score_block(D, block, kind) - opt) <= tol
+        hits = np.abs(_score_block(instance.distances, block, kind) - opt) <= tol
         for row in np.flatnonzero(hits):
             if len(found) == cap:
                 return OptimaEnumeration(solutions=tuple(found),

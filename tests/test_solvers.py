@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divopt import (DEFAULT_OPTIMA_CAP, Family, GeneratorSpec, Instance,
-                    ObjectiveKind, Solution, Sense, evaluate,
+from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
+                    Sense, evaluate,
                     BudgetExceededError, SolveStatus, SolverBudget,
                     brute_force, build_threshold_graph,
                     default_subinterval_exponent, enumerate_maxmin_optima,
@@ -324,71 +324,6 @@ def test_brute_force_time_limit_gives_feasible_subset():
     assert len(res.solution) == 6
     assert res.value == evaluate(ObjectiveKind.MINDIFF, inst, res.solution)
     assert 0 < res.stats.subsets_or_nodes_explored < math.comb(20, 6)
-
-
-def _two_walk_optima(inst, m, kind, cap, tolerance):
-    # enumerate_optima as two walks: brute_force's optimum, then every row
-    # within tolerance of it
-    opt = brute_force(inst, m, kind).value
-    tol = tolerance * max(1.0, abs(opt))
-    sizes = range(1, inst.n + 1) if m is None else [m]
-    found = []
-    for block in _combination_blocks(inst.n, sizes):
-        hits = np.abs(_score_block(inst.distances, block, kind) - opt) <= tol
-        for row in np.flatnonzero(hits):
-            if len(found) == cap:
-                return found, True, opt
-            found.append(tuple(block[row].tolist()))
-    return found, False, opt
-
-
-def _near_ties(seed, n):
-    # pairs of values a few tolerances apart, at two scales
-    rng = np.random.default_rng(seed)
-    base = rng.choice([1.0, 2.0, 1000.0], size=(n, n))
-    wiggle = rng.choice([0.0, 1e-9, 3e-9, -2e-9], size=(n, n))
-    d = np.triu(base * (1.0 + wiggle), 1)
-    return Instance(name=f"near{seed}", family=Family.CUSTOM,
-                    distances=d + d.T)
-
-
-@pytest.mark.parametrize("block_rows", [5, 4096])
-def test_enumerate_optima_one_walk_matches_two_walks(monkeypatch, block_rows):
-    import divopt.solvers as solvers
-    monkeypatch.setattr(solvers, "_BLOCK_ROWS", block_rows)
-    walks = []
-    blocks = solvers._combination_blocks
-
-    def counted(n, sizes):
-        walks.append(n)
-        return blocks(n, sizes)
-
-    monkeypatch.setattr(solvers, "_combination_blocks", counted)
-    insts = [_tie_heavy(seed, n, values)
-             for seed, n in enumerate((6, 7, 8, 9))
-             for values in TIE_VALUES + [[1.0, 2.0], [5.0]]]
-    insts += [_near_ties(seed, n) for seed, n in enumerate((7, 8, 9))]
-    checked = second_walks = 0
-    for inst in insts:
-        for kind in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM,
-                     ObjectiveKind.MINDIFF, ObjectiveKind.MAXMEAN):
-            ms = [None] if kind is ObjectiveKind.MAXMEAN else [2, 3, 5]
-            # tolerance 0: evaluate can put the optimum an ulp below the
-            # best block score (ties2, MaxSum m=5), so that the hits are rows
-            # the walk dropped; 0.2 fills the small caps with near misses
-            for m, cap, tolerance in itertools.product(
-                    ms, (1, 3, DEFAULT_OPTIMA_CAP), (1e-9, 0.0, 0.2)):
-                want, truncated, opt = _two_walk_optima(inst, m, kind, cap,
-                                                        tolerance)
-                before = len(walks)
-                en = enumerate_optima(inst, m, kind, cap=cap,
-                                      tolerance=tolerance)
-                assert ([tuple(s) for s in en.solutions], en.truncated,
-                        en.value) == (want, truncated, opt)
-                checked += 1
-                second_walks += len(walks) - before - 1
-    # both the one-walk proof and the fallback second walk were exercised
-    assert 0 < second_walks < checked / 2
 
 
 def test_enumerate_optima_budgets(t4):
