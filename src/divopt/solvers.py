@@ -28,7 +28,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, combinations, islice
 from math import ceil, comb, inf, log2
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -679,10 +678,11 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
 
 def _subset_sizes(instance: Instance, m: Optional[int],
                   kind: ObjectiveKind) -> tuple[list[int], int]:
-    """Subset sizes of an exhaustive walk and the subset budget's count."""
+    """Subset sizes of an exhaustive walk and the number of subsets it
+    scores, which the subset budget is held against."""
     n = instance.n
     if kind is ObjectiveKind.MAXMEAN:
-        return list(range(1, n + 1)), 2 ** n
+        return list(range(1, n + 1)), 2 ** n - 1
     if m is None:
         raise ValueError(f"{kind.value} requires a subset size m")
     _validate_m(instance, m)
@@ -690,26 +690,46 @@ def _subset_sizes(instance: Instance, m: Optional[int],
 
 
 def _combination_blocks(n: int, sizes: list[int]) -> Iterator[np.ndarray]:
-    """combinations(range(n), size) for each size in turn, in order, as
-    (rows, size) index arrays of at most _BLOCK_ROWS rows."""
-    for size in sizes:
-        combos = combinations(range(n), size)
-        while True:
-            flat = np.fromiter(chain.from_iterable(islice(combos, _BLOCK_ROWS)),
-                               dtype=np.intp)
-            if not flat.size:
-                break
-            yield flat.reshape(-1, size)
+    """combinations(range(n), size) for each size in turn, in lexicographic
+    order, as (rows, size) intp index arrays of at most _BLOCK_ROWS rows.
+
+    Each block is unranked in numpy through the combinatorial number
+    system (Knuth, TAOCP 4A, 7.2.1.3): lexicographic rank r of c is the
+    colex rank C(n, k) - 1 - r of the mirrored combination n - 1 - c, whose
+    j-th element is the largest x with C(x, k - j) <= the rank left by the
+    elements before it, found for all rows by one searchsorted.  Ranks are
+    int64, or Python ints in object arrays when C(n, k) does not fit.
+    """
+    for k in sizes:
+        total = comb(n, k)
+        dtype = np.int64 if total < 2 ** 63 else object
+        # the mirrored j-th element is at most n - 1 - j, and every
+        # C(x, k - j) up to there is below total
+        tables = [np.array([comb(x, k - j) for x in range(n - j)], dtype=dtype)
+                  for j in range(k)]
+        for start in range(0, total, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, total)
+            rank = np.arange(total - 1 - start, total - 1 - stop, -1,
+                             dtype=dtype)
+            block = np.empty((stop - start, k), dtype=np.intp)
+            for j, table in enumerate(tables):
+                # mirrored element x - 1: largest y with C(y, k - j) <= rank
+                x = table.searchsorted(rank, side="right")
+                rank -= table[x - 1]
+                np.subtract(n, x, out=block[:, j])  # n - 1 - (x - 1)
+            yield block
 
 
 def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 budget: Optional[SolverBudget] = None) -> SolveResult:
     """Exhaustive oracle: every m-subset (every subset for MaxMean).
 
-    Subsets are scored in blocks of up to _BLOCK_ROWS combinations by
-    _score_block, whose values equal the per-subset reference _score_plain
-    bit for bit.  Refuses upfront (status BudgetExceeded) when the subset
-    count exceeds the budget.  The time limit is checked before each block
+    _combination_blocks unranks the subsets in numpy, in lexicographic
+    order, in blocks of up to _BLOCK_ROWS (with Python-int ranks once the
+    count passes int64).  _score_block scores each block; its values equal
+    the per-subset reference _score_plain bit for bit.  Refuses upfront
+    (status BudgetExceeded) when the subset count, C(n, m) or 2^n - 1 for
+    MaxMean, exceeds the budget.  The time limit is checked before each block
     after the first.  Ties go to the lexicographically smallest index tuple.
     """
     budget = budget or _NO_BUDGET

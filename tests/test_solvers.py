@@ -16,7 +16,9 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     feasible_subset, generate, max_packing, solve_bilevel,
                     solve_maxmin_improved, solve_maxmin_original,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
-from divopt.solvers import (_bits_to_nodes, _clique_cover_size,
+from divopt import solvers
+from divopt.instances import truncate
+from divopt.solvers import (_BLOCK_ROWS, _bits_to_nodes, _clique_cover_size,
                             _combination_blocks, _max_degree, _reduce_forced,
                             _score_block, _score_plain,
                             _sum_completion_bound)
@@ -269,6 +271,23 @@ def test_brute_force_subset_budget(t4):
     assert res.status is SolveStatus.BUDGET_EXCEEDED
 
 
+def test_maxmean_subset_budget_counts_nonempty_subsets(t4):
+    # MaxMean scores the 2^4 - 1 = 15 non-empty subsets of t4
+    res = brute_force(t4, None, ObjectiveKind.MAXMEAN,
+                      SolverBudget(max_subsets=15))
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.stats.subsets_or_nodes_explored == 15
+    res = brute_force(t4, None, ObjectiveKind.MAXMEAN,
+                      SolverBudget(max_subsets=14))
+    assert res.status is SolveStatus.BUDGET_EXCEEDED
+    en = enumerate_optima(t4, None, ObjectiveKind.MAXMEAN,
+                          budget=SolverBudget(max_subsets=15))
+    assert [tuple(s) for s in en.solutions] == [(0, 1, 2, 3)]
+    with pytest.raises(BudgetExceededError, match="bound exceeds"):
+        enumerate_optima(t4, None, ObjectiveKind.MAXMEAN,
+                         budget=SolverBudget(max_subsets=14))
+
+
 def _tie_heavy(seed, n, values):
     rng = np.random.default_rng(seed)
     d = np.triu(rng.choice(values, size=(n, n)), 1)
@@ -292,10 +311,74 @@ def test_score_block_matches_plain_bit_for_bit(kind, values):
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def _itertools_blocks(n, sizes):
+    """The itertools walker _combination_blocks replaced: its reference."""
+    for size in sizes:
+        combos = itertools.combinations(range(n), size)
+        while True:
+            flat = np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, _BLOCK_ROWS)), dtype=np.intp)
+            if not flat.size:
+                break
+            yield flat.reshape(-1, size)
+
+
 def test_combination_blocks_walk_combinations_in_order():
-    rows = [tuple(r) for b in _combination_blocks(16, [1, 6]) for r in b.tolist()]
-    want = [c for size in (1, 6) for c in itertools.combinations(range(16), size)]
-    assert rows == want
+    # every size of n <= 20; 4096 rows is one whole block, 4097 one row
+    # past it, 8192 two whole blocks
+    cases = [(n, list(range(1, n + 1))) for n in range(1, 21)]
+    for n, sizes in cases + [(4096, [1]), (4097, [1]), (8192, [1])]:
+        got = list(_combination_blocks(n, sizes))
+        ref = list(_itertools_blocks(n, sizes))
+        assert [b.shape for b in got] == [b.shape for b in ref], n
+        for block, want_block in zip(got, ref):
+            assert block.dtype == np.intp
+            assert len(block) <= _BLOCK_ROWS
+            assert np.array_equal(block, want_block), (n, block.shape)
+
+
+def test_combination_blocks_past_int64():
+    assert math.comb(70, 35) > 2 ** 63
+    first = next(_combination_blocks(70, [35]))
+    assert first.dtype == np.intp
+    want = list(itertools.islice(itertools.combinations(range(70), 35),
+                                 _BLOCK_ROWS))
+    assert [tuple(r) for r in first.tolist()] == want
+    inst = generate(GeneratorSpec(family=Family.MDG, n=70, m=35, seed=4))
+    res = brute_force(inst, 35, ObjectiveKind.MAXSUM,
+                      SolverBudget(time_limit=1e-9))
+    assert res.status is SolveStatus.FEASIBLE
+    nodes = tuple(res.solution)
+    assert len(set(nodes)) == 35 and all(0 <= v < 70 for v in nodes)
+    assert res.value == evaluate(ObjectiveKind.MAXSUM, inst, res.solution)
+    assert 0 < res.stats.subsets_or_nodes_explored <= _BLOCK_ROWS
+
+
+def _brute_force_cases():
+    ties = [_tie_heavy(3, 16, values) for values in TIE_VALUES]
+    generated = [generate(GeneratorSpec(family=fam, n=25, m=5, seed=seed))
+                 for seed, fam in enumerate([Family.GKD_D, Family.MDG,
+                                             Family.SOM])]
+    return ties + generated
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_brute_force_same_as_with_itertools_blocks(kind, monkeypatch):
+    results = {}
+    for walker in (_combination_blocks, _itertools_blocks):
+        monkeypatch.setattr(solvers, "_combination_blocks", walker)
+        out = []
+        for inst in _brute_force_cases():
+            m = 5
+            if kind is ObjectiveKind.MAXMEAN:
+                # every subset of 25 nodes is 2^25; score those of 14
+                m, inst = None, truncate(inst, min(inst.n, 14))
+            res = brute_force(inst, m, kind)
+            assert res.status is SolveStatus.OPTIMAL
+            out.append((res.value.hex(), tuple(res.solution),
+                        res.stats.subsets_or_nodes_explored))
+        results[walker] = out
+    assert results[_combination_blocks] == results[_itertools_blocks]
 
 
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
