@@ -17,10 +17,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import (BenchJob, HistogramMode, _csv, benchmark_csv,
-                       benchmark_summary, cross_model_csv, cross_model_report,
-                       geometry_csv, geometry_stats, histogram, histogram_csv,
-                       multiplicity_csv, multiplicity_report)
+from .analysis import (BenchJob, HistogramMode, PairedObjectives, _csv,
+                       benchmark_csv, benchmark_summary, cross_model_csv,
+                       cross_model_report, geometry_csv, geometry_stats,
+                       histogram, histogram_csv, multiplicity_csv,
+                       multiplicity_report)
 from .instances import (Family, FormatError, GeneratorSpec, Instance,
                         generate, parse_instance, write_instance)
 from .milp import FormulationKind, emit, verify_external
@@ -227,7 +228,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 continue
             pairs = []
             for inst in instances:
-                m = args.m if args.m is not None else inst.default_m
                 primary_res = results[(inst.name, "maxsum")]
                 secondary_res = results[(inst.name, secondary)]
                 if primary_res.solution is None or secondary_res.solution is None:
@@ -248,12 +248,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             hist = histogram(pool, HistogramMode.NORMALIZED10)
             _atomic_write(out / f"hist_{name}.csv", histogram_csv(hist))
 
-    if "maxmin" in models:
-        m_by_inst = args.m if args.m is not None else None
-        if m_by_inst is not None:
-            summary = multiplicity_report(instances, m_by_inst, cap=args.cap,
-                                          budget=budget)
-            _atomic_write(out / "multiplicity.csv", multiplicity_csv(summary))
+    if "maxmin" in models and args.m is not None:
+        summary = multiplicity_report(instances, args.m, cap=args.cap,
+                                      budget=budget)
+        _atomic_write(out / "multiplicity.csv", multiplicity_csv(summary))
 
     print(f"analyzed {len(instances)} instance(s), {len(models)} model(s) "
           f"-> {out}")
@@ -263,7 +261,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _pairing_from_results(inst, primary_res, secondary_res):
-    from .analysis import PairedObjectives
     return PairedObjectives(
         primary_optimum=primary_res.value,
         primary_at_secondary=evaluate(ObjectiveKind.MAXSUM, inst,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isnan
 from typing import Optional
 
 from .instances import Instance
@@ -159,11 +160,15 @@ def _wrap(prefix: str, chunks: list[str], tail: str = "") -> list[str]:
     return lines
 
 
+# (name, [(coefficient, variable)], "<=" | ">=" | "=", right-hand side)
+_Row = tuple[str, list[tuple[float, str]], str, float]
+
+
 @dataclass
 class _Model:
     sense: str  # "Maximize" or "Minimize"
     objective: list[tuple[float, str]]
-    rows: list[tuple[str, list[tuple[float, str]], str, float]]
+    rows: list[_Row]
     free_vars: list[str]
     binaries: list[str]
 
@@ -174,8 +179,27 @@ def _pairs(n: int):
             yield i, j
 
 
-def _contribution_terms(d, n: int, i: int) -> list[tuple[float, str]]:
-    return [(float(d[i, j]), _x(j)) for j in range(n) if j != i]
+def _linking_rows(n: int) -> list[_Row]:
+    # y_ij = x_i x_j: y >= x_i + x_j - 1, y <= x_i, y <= x_j
+    rows = [(f"lk_{i+1}_{j+1}", [(1.0, _x(i)), (1.0, _x(j)), (-1.0, _y(i, j))],
+             "<=", 1.0) for i, j in _pairs(n)]
+    rows.extend((f"ua_{i+1}_{j+1}", [(-1.0, _x(i)), (1.0, _y(i, j))], "<=", 0.0)
+                for i, j in _pairs(n))
+    rows.extend((f"ub_{i+1}_{j+1}", [(-1.0, _x(j)), (1.0, _y(i, j))], "<=", 0.0)
+                for i, j in _pairs(n))
+    return rows
+
+
+def _contribution_rows(d, n: int, var: str, sense: str,
+                       lift: list[float]) -> list[_Row]:
+    # var sense sum_{j!=i} d_ij x_j + lift_i (1 - x_i), one row per node i
+    rows = []
+    for i in range(n):
+        terms = [(1.0, var)]
+        terms.extend((-float(d[i, j]), _x(j)) for j in range(n) if j != i)
+        terms.append((lift[i], _x(i)))
+        rows.append((f"{var}_{i+1}", terms, sense, lift[i]))
+    return rows
 
 
 def _build(instance: Instance, kind: FormulationKind, m: Optional[int],
@@ -187,18 +211,7 @@ def _build(instance: Instance, kind: FormulationKind, m: Optional[int],
 
     if kind is FormulationKind.MAXSUM_KUO:
         obj = [(float(d[i, j]), _y(i, j)) for i, j in _pairs(n)]
-        rows = [card_eq]
-        for i, j in _pairs(n):
-            rows.append((f"lk_{i+1}_{j+1}",
-                         [(1.0, _x(i)), (1.0, _x(j)), (-1.0, _y(i, j))],
-                         "<=", 1.0))
-        for i, j in _pairs(n):
-            rows.append((f"ua_{i+1}_{j+1}",
-                         [(-1.0, _x(i)), (1.0, _y(i, j))], "<=", 0.0))
-        for i, j in _pairs(n):
-            rows.append((f"ub_{i+1}_{j+1}",
-                         [(-1.0, _x(j)), (1.0, _y(i, j))], "<=", 0.0))
-        return _Model("Maximize", obj, rows, [], xs)
+        return _Model("Maximize", obj, [card_eq] + _linking_rows(n), [], xs)
 
     if kind is FormulationKind.MAXSUM_W:
         ws = [f"w_{i + 1}" for i in range(n - 1)]
@@ -222,61 +235,41 @@ def _build(instance: Instance, kind: FormulationKind, m: Optional[int],
             rows.append((f"th_{i+1}_{j+1}",
                          [(konst.C - float(d[i, j]), _y(i, j)), (1.0, "w")],
                          "<=", konst.C))
-        for i, j in _pairs(n):
-            rows.append((f"lk_{i+1}_{j+1}",
-                         [(1.0, _x(i)), (1.0, _x(j)), (-1.0, _y(i, j))],
-                         "<=", 1.0))
-        for i, j in _pairs(n):
-            rows.append((f"ua_{i+1}_{j+1}",
-                         [(-1.0, _x(i)), (1.0, _y(i, j))], "<=", 0.0))
-        for i, j in _pairs(n):
-            rows.append((f"ub_{i+1}_{j+1}",
-                         [(-1.0, _x(j)), (1.0, _y(i, j))], "<=", 0.0))
+        rows.extend(_linking_rows(n))
         return _Model("Maximize", obj, rows, ["w"], xs)
 
+    # s <= sum_{j!=i} d_ij x_j - L_i (1 - x_i) + U_plus (1 - x_i)
+    s_lift = [konst.U_plus - konst.L[i] for i in range(n)]
     if kind is FormulationKind.MAXMINSUM_TIGHT:
-        obj = [(1.0, "s")]
-        rows = [card_eq]
-        for i in range(n):
-            # s <= sum_{j!=i} d_ij x_j - L_i (1 - x_i) + U_plus (1 - x_i)
-            terms = [(1.0, "s")]
-            terms.extend((-c, v) for c, v in _contribution_terms(d, n, i))
-            terms.append((konst.U_plus - konst.L[i], _x(i)))
-            rows.append((f"s_{i+1}", terms, "<=", konst.U_plus - konst.L[i]))
-        return _Model("Maximize", obj, rows, ["s"], xs)
+        rows = [card_eq] + _contribution_rows(d, n, "s", "<=", s_lift)
+        return _Model("Maximize", [(1.0, "s")], rows, ["s"], xs)
 
     if kind is FormulationKind.MINDIFF_TIGHT:
-        obj = [(1.0, "t")]
         # the printed model indexes the t-row over i without using i; one
         # row carries the same content
         rows = [("diff", [(1.0, "t"), (-1.0, "r"), (1.0, "s")], ">=", 0.0)]
-        for i in range(n):
-            # r >= sum_{j!=i} d_ij x_j - U_i (1 - x_i) + L_minus (1 - x_i)
-            terms = [(1.0, "r")]
-            terms.extend((-c, v) for c, v in _contribution_terms(d, n, i))
-            terms.append((konst.L_minus - konst.U[i], _x(i)))
-            rows.append((f"r_{i+1}", terms, ">=", konst.L_minus - konst.U[i]))
-        for i in range(n):
-            terms = [(1.0, "s")]
-            terms.extend((-c, v) for c, v in _contribution_terms(d, n, i))
-            terms.append((konst.U_plus - konst.L[i], _x(i)))
-            rows.append((f"s_{i+1}", terms, "<=", konst.U_plus - konst.L[i]))
+        # r >= sum_{j!=i} d_ij x_j - U_i (1 - x_i) + L_minus (1 - x_i)
+        r_lift = [konst.L_minus - konst.U[i] for i in range(n)]
+        rows.extend(_contribution_rows(d, n, "r", ">=", r_lift))
+        rows.extend(_contribution_rows(d, n, "s", "<=", s_lift))
         rows.append(card_eq)
-        return _Model("Minimize", obj, rows, ["t", "r", "s"], xs)
+        return _Model("Minimize", [(1.0, "t")], rows, ["t", "r", "s"], xs)
 
-    # threshold kinds
-    edges = [(i, j) for i, j in _pairs(n) if d[i, j] < l]
-    if kind is FormulationKind.NODE_PACKING:
-        obj = [(1.0, v) for v in xs]
-        rows = [(f"e_{i+1}_{j+1}", [(1.0, _x(i)), (1.0, _x(j))], "<=", 1.0)
-                for i, j in edges]
-        return _Model("Maximize", obj, rows, [], xs)
-
-    obj = [(0.0, xs[0])]
+    # threshold kinds: one conflict row per edge of G(l)
     rows = [(f"e_{i+1}_{j+1}", [(1.0, _x(i)), (1.0, _x(j))], "<=", 1.0)
-            for i, j in edges]
+            for i, j in _pairs(n) if d[i, j] < l]
+    if kind is FormulationKind.NODE_PACKING:
+        return _Model("Maximize", [(1.0, v) for v in xs], rows, [], xs)
     rows.append(card_eq)
-    return _Model("Maximize", obj, rows, [], xs)
+    return _Model("Maximize", [(0.0, xs[0])], rows, [], xs)
+
+
+def _check_threshold(kind: FormulationKind, l: Optional[float]) -> None:
+    if l is None:
+        raise ValueError(f"{kind.value} requires a threshold l")
+    if isnan(l):
+        # NaN compares false with every distance: no conflict row would hold
+        raise ValueError("threshold l must not be NaN")
 
 
 def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
@@ -287,8 +280,8 @@ def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
             raise ValueError(f"{kind.value} requires a subset size m")
         if not (2 <= m <= instance.n):
             raise ValueError(f"require 2 <= m <= n, got m={m}, n={instance.n}")
-    if kind.needs_l and l is None:
-        raise ValueError(f"{kind.value} requires a threshold l")
+    if kind.needs_l:
+        _check_threshold(kind, l)
     konst = compute_constants(instance)
     model = _build(instance, kind, m if kind.needs_m else None,
                    l if kind.needs_l else None, konst)
@@ -310,10 +303,8 @@ def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
     lines.append(model.sense)
     lines.extend(_wrap(" obj:", _terms(model.objective)))
     lines.append("Subject To")
-    op_map = {"<=": "<=", ">=": ">=", "=": "="}
     for name, terms, op, rhs in model.rows:
-        lines.extend(_wrap(f" {name}:", _terms(terms),
-                           tail=f"{op_map[op]} {_fmt(rhs)}"))
+        lines.extend(_wrap(f" {name}:", _terms(terms), tail=f"{op} {_fmt(rhs)}"))
     lines.append("Bounds")
     for v in model.free_vars:
         lines.append(f" {v} free")
@@ -393,8 +384,7 @@ def verify_external(instance: Instance, kind: FormulationKind,
         return ExternalCheck(kind=kind, selected=selected, objective=obj,
                              value=evaluate(obj, instance, sol), valid=True,
                              violations=())
-    if l is None:
-        raise ValueError(f"{kind.value} requires the threshold l")
+    _check_threshold(kind, l)
     violations = []
     d = instance.distances
     for i in selected:

@@ -28,7 +28,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import ceil, comb, inf, log2
+from math import ceil, comb, inf, isnan, log2
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -150,6 +150,9 @@ def _validate_m(instance: Instance, m: int) -> None:
 
 
 def build_threshold_graph(instance: Instance, l: float) -> ThresholdGraph:
+    if isnan(l):
+        # NaN compares false with every distance, which would make G(l) empty
+        raise ValueError("threshold l must not be NaN")
     closer = instance.distances < l
     np.fill_diagonal(closer, False)
     packed = np.packbits(closer, axis=1, bitorder="little")
@@ -289,12 +292,9 @@ def feasible_subset(instance: Instance, l: float, m: int,
         graph.adj, graph.n, m, budget.max_nodes, budget.deadline(start))
     stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=1,
                         wall_time=time.perf_counter() - start)
-    if not decided:
-        return SolveResult(ObjectiveKind.MAXMIN, SolveStatus.BUDGET_EXCEEDED,
-                           None, None, stats)
     if bits is None:
-        return SolveResult(ObjectiveKind.MAXMIN, SolveStatus.INFEASIBLE,
-                           None, None, stats)
+        status = SolveStatus.INFEASIBLE if decided else SolveStatus.BUDGET_EXCEEDED
+        return SolveResult(ObjectiveKind.MAXMIN, status, None, None, stats)
     witness = Solution(_bits_to_nodes(bits))
     return SolveResult(ObjectiveKind.MAXMIN, SolveStatus.FEASIBLE, witness,
                        eval_maxmin(instance, witness), stats)
@@ -390,67 +390,50 @@ def _reduce_forced(cand: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
     return forced, cand, pick
 
 
-class _MisSearch:
-    """Exact maximum independent set over bitset adjacency."""
+def _max_independent(cand: int, adj: tuple[int, ...],
+                     tick: Callable[[], None]) -> int:
+    """Exact maximum independent set bits of the subgraph induced by cand;
+    tick() runs at every search node and may stop it by raising _Exhausted."""
+    tick()
+    forced, cand, _ = _reduce_forced(cand, adj)
+    if cand == 0:
+        return forced
+    comps = _components(cand, adj)
+    if len(comps) > 1:
+        for comp in comps:
+            forced |= _max_independent(comp, adj, tick)
+        return forced
+    best_bits = _greedy_independent(cand, adj)
+    best = best_bits.bit_count()
 
-    def __init__(self, adj: tuple[int, ...], max_nodes: Optional[int],
-                 deadline: Optional[float]) -> None:
-        self.adj = adj
-        self.max_nodes = max_nodes
-        self.deadline = deadline
-        self.nodes = 0
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        _check_limits(self.nodes, self.max_nodes, self.deadline)
-
-    def solve(self, cand: int) -> int:
-        """Exact MIS bits of the subgraph induced by cand."""
-        self._tick()
-        forced, cand, _ = _reduce_forced(cand, self.adj)
+    def bb(cand: int, cur_bits: int, cur: int) -> None:
+        nonlocal best, best_bits
+        tick()
+        forced, cand, pick = _reduce_forced(cand, adj)
+        if forced:
+            cur_bits |= forced
+            cur += forced.bit_count()
         if cand == 0:
-            return forced
-        comps = _components(cand, self.adj)
-        if len(comps) > 1:
-            out = forced
-            for comp in comps:
-                out |= self.solve(comp)
-            return out
-        return forced | self._component(comps[0])
-
-    def _component(self, cand: int) -> int:
-        adj = self.adj
-        best_bits = _greedy_independent(cand, adj)
-        best = best_bits.bit_count()
-
-        def bb(cand: int, cur_bits: int, cur: int) -> None:
-            nonlocal best, best_bits
-            self._tick()
-            forced, cand, pick = _reduce_forced(cand, adj)
-            if forced:
-                cur_bits |= forced
-                cur += forced.bit_count()
-            if cand == 0:
-                if cur > best:
-                    best, best_bits = cur, cur_bits
+            if cur > best:
+                best, best_bits = cur, cur_bits
+            return
+        while True:
+            if cur + _clique_cover_size(cand, adj, best - cur + 1) <= best:
                 return
-            while True:
-                if cur + _clique_cover_size(cand, adj, best - cur + 1) <= best:
-                    return
-                if pick < 0:
-                    pick = _max_degree(cand, adj)[0]
-                bit = 1 << pick
-                # include pick (recursive), then loop on as the exclude branch
-                bb(cand & ~(adj[pick] | bit), cur_bits | bit, cur + 1)
-                cand ^= bit
-                pick = -1
-                # the include branch left best >= cur + 1, so an empty
-                # exclude branch returns here too
-                if cand.bit_count() + cur <= best:
-                    return
+            if pick < 0:
+                pick = _max_degree(cand, adj)[0]
+            bit = 1 << pick
+            # include pick (recursive), then loop on as the exclude branch
+            bb(cand & ~(adj[pick] | bit), cur_bits | bit, cur + 1)
+            cand ^= bit
+            pick = -1
+            # the include branch left best >= cur + 1, so an empty
+            # exclude branch returns here too
+            if cand.bit_count() + cur <= best:
+                return
 
-        bb(cand, 0, 0)
-        return best_bits
+    bb(cand, 0, 0)
+    return forced | best_bits
 
 
 def max_packing(instance: Instance, l: float,
@@ -464,28 +447,37 @@ def max_packing(instance: Instance, l: float,
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
     graph = build_threshold_graph(instance, l)
-    search = _MisSearch(graph.adj, budget.max_nodes, budget.deadline(start))
+    max_nodes, deadline = budget.max_nodes, budget.deadline(start)
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        _check_limits(nodes, max_nodes, deadline)
+
     full = (1 << graph.n) - 1
     try:
-        bits = search.solve(full)
+        bits = _max_independent(full, graph.adj, tick)
         status = SolveStatus.OPTIMAL
     except _Exhausted:
         bits = _greedy_independent(full, graph.adj)
         status = SolveStatus.FEASIBLE
-    stats = SearchStats(subsets_or_nodes_explored=search.nodes,
-                        decision_solves=1,
+    stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=1,
                         wall_time=time.perf_counter() - start)
     witness = Solution(_bits_to_nodes(bits))
     return SolveResult(ObjectiveKind.MAXMIN, status, witness,
                        float(len(witness)), stats)
 
 
-def _trivial_maxmin_result(instance: Instance, m: int, status: SolveStatus,
-                           stats: SearchStats) -> SolveResult:
-    # when the optimum is d_min, every m-subset attains it
-    sol = Solution(range(m))
-    return SolveResult(ObjectiveKind.MAXMIN, status, sol,
-                       eval_maxmin(instance, sol), stats)
+def _maxmin_result(instance: Instance, m: int, status: SolveStatus,
+                   witness: Optional[Solution],
+                   stats: SearchStats) -> SolveResult:
+    # without a witness the first m nodes stand in: every m-subset scores at
+    # least d_min, and exactly d_min when that is the optimum
+    if witness is None:
+        witness = Solution(range(m))
+    return SolveResult(ObjectiveKind.MAXMIN, status, witness,
+                       eval_maxmin(instance, witness), stats)
 
 
 def solve_maxmin_improved(instance: Instance, m: int,
@@ -530,11 +522,7 @@ def solve_maxmin_improved(instance: Instance, m: int,
                         wall_time=time.perf_counter() - start,
                         trace=tuple(trace))
     status = SolveStatus.FEASIBLE if exhausted else SolveStatus.OPTIMAL
-    if witness is None:
-        result = _trivial_maxmin_result(instance, m, status, stats)
-    else:
-        result = SolveResult(ObjectiveKind.MAXMIN, status, witness,
-                             eval_maxmin(instance, witness), stats)
+    result = _maxmin_result(instance, m, status, witness, stats)
     stats.wall_time = time.perf_counter() - start
     return result
 
@@ -578,7 +566,7 @@ def solve_maxmin_original(instance: Instance, m: int,
     if gap is None:
         # flat spectrum: every m-subset scores d_min
         stats = SearchStats(wall_time=time.perf_counter() - start, q_used=None)
-        return _trivial_maxmin_result(instance, m, SolveStatus.OPTIMAL, stats)
+        return _maxmin_result(instance, m, SolveStatus.OPTIMAL, None, stats)
     q = budget.q if budget.q is not None else default_subinterval_exponent(instance)
     q = min(q, MAX_SUBINTERVAL_EXPONENT)
     lo = st.d_min
@@ -602,16 +590,12 @@ def solve_maxmin_original(instance: Instance, m: int,
         solves += 1
         nodes += pack.stats.subsets_or_nodes_explored
         size = int(pack.value)
-        if pack.status != SolveStatus.OPTIMAL:
-            if size >= m:
-                # the lower-bound witness already proves feasibility at mid
-                lo = mid
-                witness = Solution(pack.solution.nodes[:m])
-                trace.append((mid, size, True))
-                continue
+        feasible = size >= m
+        if not feasible and pack.status != SolveStatus.OPTIMAL:
+            # a stopped packing below m decides nothing
             exhausted = True
             break
-        feasible = size >= m
+        # a stopped packing of size >= m still proves feasibility at mid
         trace.append((mid, size, feasible))
         if feasible:
             lo = mid
@@ -621,19 +605,13 @@ def solve_maxmin_original(instance: Instance, m: int,
     stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=solves,
                         wall_time=time.perf_counter() - start,
                         trace=tuple(trace), q_used=q)
-    if exhausted or values_in_bracket() > 1:
-        # could not isolate a single value: report the incumbent bound
-        status = SolveStatus.FEASIBLE
-        if witness is None:
-            return _trivial_maxmin_result(instance, m, status, stats)
-        return SolveResult(ObjectiveKind.MAXMIN, status, witness,
-                           eval_maxmin(instance, witness), stats)
-    if witness is None:
-        return _trivial_maxmin_result(instance, m, SolveStatus.OPTIMAL, stats)
-    result = SolveResult(ObjectiveKind.MAXMIN, SolveStatus.OPTIMAL, witness,
-                         eval_maxmin(instance, witness), stats)
+    # without a single value isolated, the incumbent is only a bound
+    isolated = not exhausted and values_in_bracket() == 1
+    result = _maxmin_result(
+        instance, m, SolveStatus.OPTIMAL if isolated else SolveStatus.FEASIBLE,
+        witness, stats)
     # the isolated bracket pins the witness's min distance to the optimum
-    assert result.value == values[bisect_left(values, lo)]
+    assert not isolated or result.value == values[bisect_left(values, lo)]
     return result
 
 
@@ -1049,23 +1027,20 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
                                          z_star=d_star)
         # max keeps the first best optimum, the lexicographically smallest
         chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
-        return BiLevelResult(d_star=d_star, optima_enumerated=len(optima),
-                             cap=cap, truncated=optima.truncated,
-                             upper_kind=upper_kind, chosen=chosen,
-                             upper_value=evaluate(upper_kind, instance, chosen))
-
-    graph = build_threshold_graph(instance, d_star)
-    best_combo, leaves, nodes, exhausted = _best_subset(
-        instance.distances.tolist(), graph.adj, m, upper_kind,
-        budget.max_nodes, budget.deadline(start))
-    if exhausted:
-        raise BudgetExceededError(
-            f"exact bi-level search exceeded budget after {nodes} nodes")
-    chosen_sol = Solution(best_combo)
-    return BiLevelResult(d_star=d_star, optima_enumerated=leaves, cap=cap,
-                         truncated=False, upper_kind=upper_kind,
-                         chosen=chosen_sol,
-                         upper_value=evaluate(upper_kind, instance, chosen_sol))
+        count, truncated = len(optima), optima.truncated
+    else:
+        graph = build_threshold_graph(instance, d_star)
+        best_combo, count, nodes, exhausted = _best_subset(
+            instance.distances.tolist(), graph.adj, m, upper_kind,
+            budget.max_nodes, budget.deadline(start))
+        if exhausted:
+            raise BudgetExceededError(
+                f"exact bi-level search exceeded budget after {nodes} nodes")
+        chosen, truncated = Solution(best_combo), False
+    return BiLevelResult(d_star=d_star, optima_enumerated=count, cap=cap,
+                         truncated=truncated, upper_kind=upper_kind,
+                         chosen=chosen,
+                         upper_value=evaluate(upper_kind, instance, chosen))
 
 
 def solve_model(instance: Instance, m: Optional[int], kind: ObjectiveKind,

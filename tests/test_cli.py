@@ -131,6 +131,20 @@ def test_export_lp_stdout_and_file(t4_file, tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_nan_threshold_exits_1(t4_file, tmp_path, capsys):
+    code = main(["export-lp", t4_file, "--kind", "node_packing", "--l", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "NaN" in captured.err
+    sol = tmp_path / "x.sol"
+    sol.write_text("x_2 1\nx_3 1\n", encoding="utf-8")
+    code = main(["verify", t4_file, "--kind", "node_packing", "--l", "nan",
+                 "--solution", str(sol)])
+    assert code == 1
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_verify_roundtrip(t4_file, tmp_path, capsys):
     sol = tmp_path / "x.sol"
     sol.write_text("x_2 1\nx_3 1\nx_4 1\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import divopt.milp
 from divopt import (Family, FormulationKind, GeneratorSpec, Instance,
                     ObjectiveKind, TighteningConstants, brute_force,
                     compute_constants, emit, generate, parse_solution_vector,
-                    verify_external)
+                    spectrum_stats, verify_external)
 
 GOLDEN_MAXMINSUM = """\
 \\ instance: t4
@@ -169,6 +171,30 @@ def test_verify_rejects_missing_threshold(t4):
         verify_external(t4, FormulationKind.NODE_PACKING, None, "x_1 1\n")
 
 
+@pytest.mark.parametrize("kind", [FormulationKind.NODE_PACKING,
+                                  FormulationKind.PACKING_FEASIBILITY])
+def test_nan_threshold_rejected(t4, kind):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        emit(t4, kind, m=3, l=nan)
+    with pytest.raises(ValueError, match="NaN"):
+        verify_external(t4, kind, 3, "x_2 1\nx_3 1\nx_4 1\n", l=nan)
+    # kinds without a threshold ignore l
+    assert emit(t4, FormulationKind.MAXSUM_KUO, m=3, l=nan) == \
+        emit(t4, FormulationKind.MAXSUM_KUO, m=3)
+
+
+def test_infinite_threshold_stays_valid(t4):
+    # every pair conflicts below +inf, none below -inf
+    assert len(_rows(emit(t4, FormulationKind.NODE_PACKING,
+                          l=float("inf")))) == 6
+    assert len(_rows(emit(t4, FormulationKind.NODE_PACKING,
+                          l=float("-inf")))) == 0
+    chk = verify_external(t4, FormulationKind.NODE_PACKING, None,
+                          "x_1 1\nx_2 1\n", l=float("-inf"))
+    assert chk.valid and chk.value == 2.0
+
+
 def test_constants_with_zero_distances():
     d = np.zeros((3, 3))
     d[0, 1] = d[1, 0] = 2.0
@@ -211,6 +237,59 @@ def test_lp_text_same_as_numpy_indexed_constants(monkeypatch, family, n, seed):
     assert len(kinds) == 7
     for kind, a, b in zip(kinds, got, want):
         assert a.encode() == b.encode(), kind
+
+
+# sha256 of emit's text for every formulation, recorded before the shared
+# row builders: (family, n, m, seed) -> digests in FormulationKind order.
+# The threshold l is the middle distinct distance, so G(l) also holds pairs
+# at exactly l (not edges).
+LP_DIGEST_PINS = [
+    (("gkd-d", 6, 3, 0), [
+        "6ccb0fa6465e00843576aa38da6854d732bacdae00512b31276d9e82a8ed4070",
+        "e0655eba683903992da8e2d7bb0b2720b9c73db948b46234709e16a636e00bbd",
+        "7b72fa2b035e19fa2ac8fec3ae96ac2d33c9a597261687534d63baa908d6de17",
+        "b945a7e5f3913558ceaae6a5e193b312f199c3da8d00837fc8ab7c6785e4582f",
+        "d845410e9be23e7e83e9d51e8027e37d9f9049806896b2c1e8f77c4985eabb32",
+        "7b0ceaa08e1574b3a40d0bc4367ac140d15de83525a6a2875533a709ea6801a8",
+        "03436b8a27cba88eb2d074e94ab9fe4a1140e60b2bf13918bd878965cd244117"]),
+    (("gkd", 9, 4, 1), [
+        "bc04c3c0d02c719da3125c39ca2bf7c282206d3066b9f13cafb45a31b84411e8",
+        "7ec68311ecb1600dd7a4f5cc54d6be36e62f0b2920df653f3872cb7bd6b7d278",
+        "ce217ef09741cb7256a8d662cb6aa1fa6fb7fa188f3a6d801a884c6279f0d14a",
+        "8cc76f200eb010de2028042af1658c7fde761d5fc181a3c62c6a08b5cad45961",
+        "5ebc0443cc9b7aed59ac1bc75ac7eea5aa9f32a2d34e6ea62a0734910aaead94",
+        "33baf1fed1875fc9e7d95284fc585666bd49589b5ed5a8d823871faaf306c03e",
+        "9e2d1692ca3d12dc10fa4c01a5f2ebfbbf32940cd15e8eed9df1244004c6cfef"]),
+    (("mdg", 12, 4, 2), [
+        "56c4be8d7779d48de07c4f5e7d5a6907590425078f73ffbcd0f21eebb0b9756a",
+        "f669fa0926471b28cf983a112de9432c87810a69052a6663c5b5617691a86077",
+        "95a20a2b2f0427b7770c43262dec63febf6f019a19d0bf0ea0cef2001ea37b5a",
+        "abbbc469847584cc171c642139dcf79dc2de33c8ae8dc824a32cc6f90b91bccc",
+        "d4579735d54c36866653338c37d72012f0cd09bd07e76faae9d620abfce13148",
+        "81921f389ab1a7a0aefd0e6c46b2012cc969142720abe7adbd8afef83cdb2902",
+        "e6a94850ad281ebcdce29a7dc046124c6735416dc3d5e7944c42a03ee9df24f3"]),
+    (("som", 14, 5, 3), [
+        "044ec92da0bcf948ed7f51ce1db98922b3ff3b073ce761694ddbce481f3f9c12",
+        "f5a73ce086f874e4a2b0221624a63fefff0f098e499063f5ba24181f88d60d29",
+        "583bc509857c12ff403f994765511794c344358f0bc0711812d6eeed7df3a60e",
+        "dd01cf49918f0c0e8e45327767e4a22b9505ada89d7867c26fe9345486d7baf9",
+        "113b105c44a63ca4674c2432129ecc1f0faf352eb3641bcf6dc08d4cff2cadf5",
+        "8047328975ea5c03e690592e14fcd5a02071c5263d2dc26df63f3aafcce72e05",
+        "07e25271183fb60e20f41d6e7c08793d699cf1575f9b18799767322552be1ac1"]),
+]
+
+
+@pytest.mark.parametrize("spec,digests", LP_DIGEST_PINS)
+def test_lp_text_digests_pinned(spec, digests):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    values = spectrum_stats(inst).distinct_values
+    l = values[len(values) // 2]
+    got = [hashlib.sha256(emit(inst, kind, m=m, l=l).encode()).hexdigest()
+           for kind in FormulationKind]
+    assert len(got) == 7
+    assert got == digests
 
 
 # The HiGHS faults that tests/_lp_bridge.py documents, one per setting:

@@ -82,6 +82,27 @@ def test_packing_monotone_in_threshold(t4):
     assert sizes == sorted(sizes, reverse=True)
 
 
+def test_nan_threshold_rejected(t4):
+    nan = float("nan")
+    for call in (lambda: build_threshold_graph(t4, nan),
+                 lambda: build_threshold_graph(t4, np.float64(nan)),
+                 lambda: feasible_subset(t4, nan, 3),
+                 lambda: max_packing(t4, nan),
+                 lambda: enumerate_maxmin_optima(t4, 3, z_star=nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+
+
+def test_infinite_thresholds_stay_valid(t4):
+    # every pair is closer than +inf, none closer than -inf
+    assert build_threshold_graph(t4, math.inf).edge_count == 6
+    assert build_threshold_graph(t4, -math.inf).edge_count == 0
+    assert max_packing(t4, math.inf).value == 1.0
+    assert max_packing(t4, -math.inf).value == 4.0
+    assert feasible_subset(t4, math.inf, 2).status is SolveStatus.INFEASIBLE
+    assert feasible_subset(t4, -math.inf, 4).status is SolveStatus.FEASIBLE
+
+
 # ---------------------------------------------------------------------------
 # MaxMin, both methods
 # ---------------------------------------------------------------------------
@@ -929,6 +950,110 @@ def test_maxmin_search_trees_pinned(spec, improved, original, at_z, above):
     assert pack.status is SolveStatus.OPTIMAL and pack.value < m
     assert (no.stats.subsets_or_nodes_explored,
             pack.stats.subsets_or_nodes_explored, tuple(pack.solution)) == above
+
+
+# Budget-stopped MaxMin searches, recorded before the result paths were
+# merged.  max_packing: (family, n, m, seed), the level's distance from z*
+# in distinct values (0 is z* itself), max_nodes -> (packing size, greedy
+# witness, nodes); the unlimited search finds the size in the comment.
+PACKING_BUDGET_PINS = [
+    (('gkd-d', 60, 8, 9), 0, 10, (8, (1, 8, 19, 20, 30, 43, 57, 59), 11)),  # 8
+    (('gkd', 50, 7, 3), 1, 10, (6, (5, 9, 10, 16, 27, 42), 11)),  # 6
+    (('mdg', 60, 6, 6), 0, 20, (5, (0, 4, 20, 24, 42), 21)),  # 6
+    (('som', 50, 6, 8), 1, 30, (4, (7, 19, 22, 25), 31)),  # 5
+]
+
+
+@pytest.mark.parametrize("spec,above,max_nodes,want", PACKING_BUDGET_PINS)
+def test_max_packing_budget_stop_returns_greedy(spec, above, max_nodes, want):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    values = spectrum_stats(inst).distinct_values
+    l = values[values.index(solve_maxmin_improved(inst, m).value) + above]
+    res = max_packing(inst, l, SolverBudget(max_nodes=max_nodes))
+    assert res.status is SolveStatus.FEASIBLE
+    assert (int(res.value), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored) == want
+    assert eval_maxmin(inst, res.solution) >= l
+
+
+# solve_maxmin_original under max_nodes: (family, n, m, seed), max_nodes,
+# the packing probes that stopped as (probe index, greedy size) ->
+# (status, value hex, witness, nodes, probes, trace digest).  A stopped
+# packing of size >= m is a feasible probe and the bisection goes on; one
+# below m ends it.  The last pin stops before any witness, so the result is
+# the first m nodes.
+ORIGINAL_BUDGET_PINS = [
+    (('gkd-d', 40, 5, 1), 30, ((1, 9),),
+     ('optimal', '0x1.a485c7aa8591ep+5', (5, 6, 12, 20, 28), 104, 10,
+      '7328a66bbfe7c4e1')),
+    (('mdg', 60, 6, 6), 100, ((0, 7),),
+     ('optimal', '0x1.bdfb96dfe6bf1p+2', (11, 24, 36, 39, 44, 46), 636, 10,
+      'cbc064ad9664fd3d')),
+    (('gkd-d', 60, 8, 9), 20, ((1, 10), (2, 6)),
+     ('feasible', '0x1.0037c6783bb58p+5', (1, 4, 11, 13, 14, 19, 29, 37), 60,
+      3, 'df3742712c287958')),
+    (('mdg', 40, 5, 2), 5, ((0, 6), (1, 4)),
+     ('feasible', '0x1.4d7d5d67dbb64p+2', (7, 11, 15, 20, 26), 12, 2,
+      'ea11a020a3339e3f')),
+    (('gkd-d', 60, 8, 9), 5, ((0, 4),),
+     ('feasible', '0x1.8ebefc7d14557p+2', (0, 1, 2, 3, 4, 5, 6, 7), 6, 1,
+      'e3b0c44298fc1c14')),
+]
+
+
+@pytest.mark.parametrize("spec,max_nodes,stopped,want", ORIGINAL_BUDGET_PINS)
+def test_original_budget_stops_pinned(monkeypatch, spec, max_nodes, stopped,
+                                      want):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    packings = []
+    real = solvers.max_packing
+
+    def logged(*args, **kwargs):
+        packings.append(real(*args, **kwargs))
+        return packings[-1]
+
+    monkeypatch.setattr(solvers, "max_packing", logged)
+    res = solve_maxmin_original(inst, m, SolverBudget(max_nodes=max_nodes))
+    assert tuple((i, int(p.value)) for i, p in enumerate(packings)
+                 if p.status is SolveStatus.FEASIBLE) == stopped
+    assert (res.status.value, res.value.hex(), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored, res.stats.decision_solves,
+            _trace_digest(res.stats.trace)) == want
+    assert res.value == eval_maxmin(inst, res.solution)
+
+
+# solve_maxmin_improved under max_nodes, as ORIGINAL_BUDGET_PINS; the last
+# pin stops before any feasible probe.
+IMPROVED_BUDGET_PINS = [
+    (('gkd-d', 60, 8, 9), 100,
+     ('feasible', '0x1.14a24b40ae749p+5', (30, 32, 36, 39, 40, 43, 49, 52),
+      154, 3, '849a4d7ca88d01d6')),
+    (('mdg', 60, 6, 6), 100,
+     ('feasible', '0x1.5bcf776e38f43p+2', (0, 6, 18, 24, 54, 55), 155, 2,
+      'fe16129938fd94b0')),
+    (('gkd', 50, 7, 3), 50,
+     ('feasible', '0x1.104024b33daf9p+4', (1, 9, 10, 22, 27, 41, 42), 93, 2,
+      'e1452d376a5c9b33')),
+    (('gkd-d', 60, 8, 9), 5,
+     ('feasible', '0x1.8ebefc7d14557p+2', (0, 1, 2, 3, 4, 5, 6, 7), 7, 2,
+      '21a2ac339968c69b')),
+]
+
+
+@pytest.mark.parametrize("spec,max_nodes,want", IMPROVED_BUDGET_PINS)
+def test_improved_budget_stops_pinned(spec, max_nodes, want):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    res = solve_maxmin_improved(inst, m, SolverBudget(max_nodes=max_nodes))
+    assert (res.status.value, res.value.hex(), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored, res.stats.decision_solves,
+            _trace_digest(res.stats.trace)) == want
+    assert res.value == eval_maxmin(inst, res.solution)
 
 
 # ---------------------------------------------------------------------------
