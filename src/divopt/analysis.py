@@ -213,16 +213,22 @@ class MultiplicitySummary:
     any_truncated: bool
 
 
-def multiplicity_report(instances: Sequence[Instance], m: int,
+def multiplicity_report(instances: Sequence[Instance], m: Optional[int],
                         cap: int = DEFAULT_OPTIMA_CAP,
                         budget: Optional[SolverBudget] = None,
                         ) -> MultiplicitySummary:
-    """Count MaxMin-optimal subsets per instance (capped enumeration)."""
+    """Count MaxMin-optimal subsets per instance (capped enumeration).
+
+    With ``m=None`` each instance is enumerated at its own ``default_m``.
+    """
     if not instances:
         raise ValueError("multiplicity report needs at least one instance")
     rows = []
     for instance in instances:
-        enum = enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
+        size = m if m is not None else instance.default_m
+        if size is None:
+            raise ValueError(f"no subset size for {instance.name}: pass m")
+        enum = enumerate_maxmin_optima(instance, size, cap=cap, budget=budget)
         rows.append((instance.name, len(enum), enum.truncated))
     counts = [c for _, c, _ in rows]
     return MultiplicitySummary(per_instance=tuple(rows),

@@ -248,7 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             hist = histogram(pool, HistogramMode.NORMALIZED10)
             _atomic_write(out / f"hist_{name}.csv", histogram_csv(hist))
 
-    if "maxmin" in models and args.m is not None:
+    if "maxmin" in models:
         summary = multiplicity_report(instances, args.m, cap=args.cap,
                                       budget=budget)
         _atomic_write(out / "multiplicity.csv", multiplicity_csv(summary))

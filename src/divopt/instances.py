@@ -183,7 +183,12 @@ def euclidean_instance(points: Sequence[Sequence[float]],
     for idx, p in enumerate(pts):
         if len(p) != dim:
             raise ValueError(f"point {idx} has dimension {len(p)}, expected {dim}")
-    coords = np.array(pts, dtype=np.float64)
+    return _euclidean(np.array(pts, dtype=np.float64), round_5dp, name, family,
+                      default_m)
+
+
+def _euclidean(coords: np.ndarray, round_5dp: bool, name: str, family: Family,
+               default_m: Optional[int]) -> Instance:
     d = _pairwise_euclidean(coords)
     if round_5dp:
         d = np.round(d, 5)
@@ -240,23 +245,22 @@ def generate(spec: GeneratorSpec) -> Instance:
 
     The draw order is fixed: SOM/MDG fill the upper triangle row by row;
     Euclidean families draw the dimension first (GKD only), then point
-    coordinates point by point.  Same spec, same bytes.
+    coordinates point by point.  Each family takes its values as one block of
+    the stream.  Same spec, same bytes.
     """
     stream = CounterStream(spec.seed)
     n = spec.n
-    if spec.family == Family.SOM:
-        lo, hi = (int(spec.value_range[0]), int(spec.value_range[1]))
-        d = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = float(stream.randint(lo, hi))
-        return Instance(spec.instance_name, spec.family, d, default_m=spec.m)
-    if spec.family == Family.MDG:
+    if spec.family in (Family.SOM, Family.MDG):
         lo, hi = spec.value_range
+        pairs = n * (n - 1) // 2
+        if spec.family == Family.SOM:
+            values = stream.randints(int(lo), int(hi), pairs)
+        else:
+            values = lo + stream.uniforms(pairs) * (hi - lo)
         d = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = stream.uniform_in(lo, hi)
+        iu = np.triu_indices(n, 1)
+        d[iu] = values
+        d.T[iu] = values
         return Instance(spec.instance_name, spec.family, d, default_m=spec.m)
     # Euclidean families
     if spec.family == Family.GKD:
@@ -264,10 +268,9 @@ def generate(spec: GeneratorSpec) -> Instance:
     else:
         dim = 2
     lo, hi = spec.coord_range
-    pts = [[stream.uniform_in(lo, hi) for _ in range(dim)] for _ in range(n)]
-    return euclidean_instance(pts, round_5dp=spec.round_5dp,
-                              name=spec.instance_name, family=spec.family,
-                              default_m=spec.m)
+    coords = (lo + stream.uniforms(n * dim) * (hi - lo)).reshape(n, dim)
+    return _euclidean(coords, spec.round_5dp, spec.instance_name, spec.family,
+                      spec.m)
 
 
 def truncate(instance: Instance, k: int, *, default_m: Optional[int] = None) -> Instance:

@@ -93,24 +93,22 @@ class TighteningConstants:
 
 
 def compute_constants(instance: Instance) -> TighteningConstants:
-    d = instance.distances.tolist()
+    # Instance rejects negative distances, so every min-part is zero and the
+    # max-parts are plain row sums, taken left to right as the formulas read
+    rows = instance.distances.tolist()
     n = instance.n
-    d_bar = tuple(float(sum(max(0.0, d[i][j]) for j in range(i + 1, n)))
-                  for i in range(n))
-    d_dbar = tuple(float(sum(min(0.0, d[i][j]) for j in range(i + 1, n)))
-                   for i in range(n))
-    upper = tuple(float(sum(max(0.0, d[i][j]) for j in range(n) if j != i))
-                  for i in range(n))
-    lower = tuple(float(sum(min(0.0, d[i][j]) for j in range(n) if j != i))
-                  for i in range(n))
+    d_bar = tuple(float(sum(row[i + 1:])) for i, row in enumerate(rows))
+    upper = tuple(float(sum(row[:i] + row[i + 1:]))
+                  for i, row in enumerate(rows))
+    zeros = (0.0,) * n
     return TighteningConstants(
         C=float(instance.distances.max()) + 1.0,
         D_bar=d_bar,
-        D_dbar=d_dbar,
+        D_dbar=zeros,
         U_plus=1.0 + max(upper),
-        L=lower,
+        L=zeros,
         U=upper,
-        L_minus=min(lower),
+        L_minus=0.0,
     )
 
 

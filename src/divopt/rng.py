@@ -5,20 +5,39 @@ bytes on every platform, so we avoid library RNGs whose streams may change
 between versions.  The generator here is a counter construction over the
 splitmix64 finalizer: output k is ``mix(key + (k + 1) * GOLDEN)`` where
 ``key = mix(seed)``.  Uniform doubles take the top 53 bits of an output word.
+
+Because output k depends only on (key, k), a block of ``count`` draws is one
+numpy uint64 expression over the counters k+1..k+count; array arithmetic
+wraps modulo 2**64, which is exactly the finalizer's arithmetic.  Scalar draws
+are one-element blocks, so a scalar draw and the same position in a block
+give the same bits.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(x: int) -> int:
-    """splitmix64 finalizer on a 64-bit word."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array."""
+    x ^= x >> np.uint64(30)
+    x *= _MUL1
+    x ^= x >> np.uint64(27)
+    x *= _MUL2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _span(lo: int, hi: int) -> int:
+    span = hi - lo + 1
+    if span <= 0:
+        raise ValueError(f"empty integer range [{lo}, {hi}]")
+    return span
 
 
 class CounterStream:
@@ -30,16 +49,29 @@ class CounterStream:
     """
 
     def __init__(self, seed: int):
-        self._key = _mix(seed & _MASK64)
+        self._key = _mix(np.array([seed & _MASK64], dtype=np.uint64))[0]
         self._counter = 0
 
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` output words as a uint64 array."""
+        k = np.arange(self._counter + 1, self._counter + count + 1,
+                      dtype=np.uint64)
+        self._counter += count
+        k *= _GOLDEN
+        k += self._key
+        return _mix(k)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniform doubles in [0, 1), 53-bit resolution."""
+        top = self._words(count) >> np.uint64(11)
+        return top.astype(np.float64) * 2.0**-53
+
     def next_u64(self) -> int:
-        self._counter += 1
-        return _mix((self._key + self._counter * _GOLDEN) & _MASK64)
+        return int(self._words(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniforms(1)[0])
 
     def uniform_in(self, lo: float, hi: float) -> float:
         """Uniform double in [lo, hi)."""
@@ -52,7 +84,15 @@ class CounterStream:
         value, which is irrelevant for benchmark data but keeps the draw a
         single word, making streams easy to reason about.
         """
-        span = hi - lo + 1
-        if span <= 0:
-            raise ValueError(f"empty integer range [{lo}, {hi}]")
+        span = _span(lo, hi)
         return lo + int(self.uniform() * span)
+
+    def randints(self, lo: int, hi: int, count: int) -> np.ndarray:
+        """The next ``count`` uniform integers in [lo, hi], as float64.
+
+        Each is ``lo + trunc(u * span)`` in float64 for one 53-bit uniform u,
+        which equals :meth:`randint` at the same position while ``lo`` and
+        ``hi`` lie within +-2**53.
+        """
+        span = _span(lo, hi)
+        return lo + np.trunc(self.uniforms(count) * span)

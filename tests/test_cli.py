@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from divopt import write_instance
+from divopt import (Family, GeneratorSpec, enumerate_maxmin_optima,
+                    generate, write_instance)
 from divopt.cli import main
 
 
@@ -188,6 +189,26 @@ def test_analyze_byte_identical(t4_file, tmp_path, capsys):
                      "--out", str(rep)]) == 0
     for p in sorted(rep1.iterdir()):
         assert p.read_bytes() == (rep2 / p.name).read_bytes()
+
+
+def test_analyze_multiplicity_at_header_m(tmp_path, capsys):
+    # without --m every output, multiplicity.csv included, uses each
+    # file's header m
+    insts = [generate(GeneratorSpec(Family.GKD_D, n=8, m=m, seed=s))
+             for m, s in ((3, 0), (4, 1))]
+    paths = []
+    for inst in insts:
+        path = tmp_path / f"{inst.name}.txt"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        paths.append(str(path))
+    rep = tmp_path / "rep"
+    code, _ = run(capsys, "analyze", *paths, "--models", "maxmin",
+                  "--out", str(rep))
+    assert code == 0
+    rows = (rep / "multiplicity.csv").read_text().splitlines()
+    assert rows[1:] == [
+        f"{inst.name},{len(enumerate_maxmin_optima(inst, inst.default_m))},"
+        "false" for inst in insts]
 
 
 def test_plot_scatter(square_file, tmp_path, capsys):

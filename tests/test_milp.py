@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -220,6 +221,33 @@ def _numpy_indexed_constants(instance):
     return TighteningConstants(C=float(d.max()) + 1.0, D_bar=d_bar,
                                D_dbar=d_dbar, U_plus=1.0 + max(upper),
                                L=lower, U=upper, L_minus=min(lower))
+
+
+def _signed_zero_instance():
+    # zero distances stored as 0.0 and -0.0, on and off the diagonal, with
+    # the two triangles disagreeing in sign (Instance accepts all of these)
+    d = np.array([[-0.0, -0.0, 2.5, 0.0, 1.0],
+                  [0.0, 0.0, -0.0, 3.0, 0.0],
+                  [2.5, 0.0, -0.0, -0.0, 0.1],
+                  [-0.0, 3.0, 0.0, 0.0, 0.2],
+                  [1.0, -0.0, 0.1, 0.2, -0.0]])
+    return Instance(name="signed_zeros", family=Family.CUSTOM, distances=d)
+
+
+@pytest.mark.parametrize("make", [
+    _signed_zero_instance,
+    lambda: Instance(name="all_zero", family=Family.CUSTOM,
+                     distances=-np.zeros((4, 4))),
+    lambda: generate(GeneratorSpec(family=Family.SOM, n=30, m=4, seed=2)),
+    lambda: generate(GeneratorSpec(family=Family.MDG, n=25, m=4, seed=1)),
+    lambda: generate(GeneratorSpec(family=Family.GKD, n=20, m=4, seed=3))])
+def test_constants_same_bits_as_clamped_formulas(make):
+    # the row-sum constants against the max(0, .)/min(0, .) formulas, bit
+    # for bit: repr tells 0.0 from -0.0, where == does not
+    inst = make()
+    got = dataclasses.astuple(compute_constants(inst))
+    want = dataclasses.astuple(_numpy_indexed_constants(inst))
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("family,n,seed", [("gkd-d", 12, 0), ("mdg", 10, 3),
