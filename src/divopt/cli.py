@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--dim", type=int, default=None,
-                   help="coordinate dimension override (GKD only)")
+                   help="coordinate dimension override: GKD and GKD-d (2 only)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

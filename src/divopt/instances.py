@@ -159,9 +159,27 @@ def spectrum_stats(instance: Instance) -> SpectrumStats:
     return instance._spectrum
 
 
+# Float64 entries of one block's (rows, n, dim) coordinate differences.
+_DIFF_BLOCK_SIZE = 2**15
+
+
 def _pairwise_euclidean(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """(n, n) Euclidean distances between the rows of an (n, dim) array.
+
+    Rows are taken in blocks whose difference array holds at most
+    ``_DIFF_BLOCK_SIZE`` entries (one row when n·dim is larger), so peak
+    memory is the O(n²) output rather than an (n, n, dim) broadcast.  Each
+    entry goes through the same subtract, square, sum and square root as
+    that broadcast, so the bytes are the same.
+    """
+    n, dim = points.shape
+    out = np.empty((n, n))
+    rows = max(1, _DIFF_BLOCK_SIZE // max(1, n * dim))
+    for i in range(0, n, rows):
+        diff = points[i:i + rows, None, :] - points[None, :, :]
+        diff *= diff
+        np.sqrt(diff.sum(axis=-1), out=out[i:i + rows])
+    return out
 
 
 def euclidean_instance(points: Sequence[Sequence[float]],
@@ -200,10 +218,12 @@ def _euclidean(coords: np.ndarray, round_5dp: bool, name: str, family: Family,
 class GeneratorSpec:
     """Parameters that fully determine one generated instance.
 
-    Ranges default per family and may be overridden.  ``dim`` is only
-    meaningful for the Euclidean families: GKD draws it uniformly from 2..21
-    when unset, GKD_D fixes it at 2.  ``round_5dp`` defaults to True for GKD
-    and False elsewhere.
+    Ranges default per family and may be overridden.  ``dim``,
+    ``coord_range`` and ``round_5dp`` belong to the Euclidean families: GKD
+    draws ``dim`` uniformly from 2..21 when unset, GKD_D fixes it at 2, and
+    ``round_5dp`` defaults to True for GKD and False elsewhere.
+    ``value_range`` belongs to SOM and MDG.  A setting given to a family
+    that would ignore it raises ``ValueError``.
     """
 
     family: Family
@@ -218,6 +238,15 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.family == Family.CUSTOM:
             raise ValueError("cannot generate the CUSTOM family")
+        if self.family in _COORD_RANGE:
+            given = {"value_range": self.value_range}
+        else:
+            given = {"dim": self.dim, "coord_range": self.coord_range,
+                     "round_5dp": self.round_5dp or None}
+        ignored = [name for name, value in given.items() if value is not None]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} not used by the "
+                             f"{self.family.value} family")
         if self.n < 2:
             raise ValueError(f"n={self.n} too small")
         if not (2 <= self.m < self.n):

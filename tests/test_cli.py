@@ -119,6 +119,17 @@ def test_generate_manifest_and_determinism(tmp_path, capsys):
     assert "som_n8_m3_s5.txt" in manifest
 
 
+def test_generate_rejects_ignored_dim(tmp_path, capsys):
+    out = tmp_path / "som"
+    code = main(["generate", "--family", "som", "--n", "8", "--m", "3",
+                 "--dim", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: dim not used by the som family")
+    assert not out.exists()
+
+
 def test_export_lp_stdout_and_file(t4_file, tmp_path, capsys):
     code, out = run(capsys, "export-lp", t4_file, "--kind", "maxminsum_tight",
                     "--m", "3")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from divopt import (Family, FormatError, GeneratorSpec, Instance,
                     euclidean_instance, generate, parse_instance,
                     spectrum_stats, truncate, write_instance)
+from divopt import instances
 from divopt.rng import CounterStream
 
 
@@ -184,6 +186,24 @@ def test_generate_rejects_bad_sizes():
         GeneratorSpec(family=Family.SOM, n=3, m=1, seed=0)
 
 
+@pytest.mark.parametrize("family,overrides", [
+    (Family.SOM, {"dim": 3}),
+    (Family.MDG, {"dim": 3}),
+    (Family.SOM, {"coord_range": (0.0, 1.0)}),
+    (Family.MDG, {"coord_range": (0.0, 1.0)}),
+    (Family.SOM, {"round_5dp": True}),
+    # the mdg n12 s8 digest pin was once recorded with this ignored setting
+    (Family.MDG, {"round_5dp": True}),
+    (Family.GKD, {"value_range": (0.0, 1.0)}),
+    (Family.GKD_D, {"value_range": (0.0, 1.0)}),
+])
+def test_generator_spec_rejects_settings_its_family_ignores(family, overrides):
+    (name,) = overrides
+    with pytest.raises(ValueError,
+                       match=f"{name} not used by the {family.value} family"):
+        GeneratorSpec(family, 12, 3, 8, **overrides)
+
+
 def test_truncate_takes_leading_block():
     inst = generate(GeneratorSpec(family=Family.GKD_D, n=10, m=3, seed=4))
     sub = truncate(inst, 6, default_m=2)
@@ -192,6 +212,64 @@ def test_truncate_takes_leading_block():
     assert np.array_equal(sub.coords, inst.coords[:6])
     assert sub.default_m == 2
     assert sub.name.endswith("_first6")
+
+
+# ---------------------------------------------------------------------------
+# Euclidean distances in row blocks
+# ---------------------------------------------------------------------------
+
+def _broadcast_euclidean(points):
+    """The one-shot formula that the row blocks must reproduce bytewise."""
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+_BLOCK_DIMS = list(range(1, 26)) + [64, 128, 129, 300]
+# the reference holds two (n, n, dim) float64 arrays; cap them at ~70 MB
+_REFERENCE_ENTRIES = 120 * 120 * 300
+# which block heights the dims above reach at each n
+_BLOCK_SHAPES = {2: {"whole"}, 3: {"whole"}, 33: {"whole", "few rows"},
+                 120: {"one row", "few rows", "whole"}, 300: {"few rows"}}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3, 33, 120, 300])
+def test_row_blocks_match_broadcast_bytes(n, order):
+    rng = np.random.default_rng(n)
+    blocks = set()
+    for dim in _BLOCK_DIMS:
+        if n * n * dim > _REFERENCE_ENTRIES:
+            continue
+        points = np.asarray(rng.uniform(-50.0, 50.0, (n, dim)), order=order)
+        got = instances._pairwise_euclidean(points)
+        assert got.tobytes() == _broadcast_euclidean(points).tobytes(), dim
+        rows = instances._DIFF_BLOCK_SIZE // (n * dim)
+        blocks.add("one row" if rows <= 1 else "whole" if rows >= n
+                   else "few rows")
+    assert blocks == _BLOCK_SHAPES[n]
+
+
+def test_generate_high_dimension_gkd_stays_small():
+    spec = GeneratorSpec(Family.GKD, 300, 10, 3, dim=21)
+    tracemalloc.start()
+    try:
+        inst = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.coords.shape == (300, 21)
+    # a one-shot (n, n, dim) broadcast peaks near 30 MiB here
+    assert peak < 4 * 2**20
+
+
+def test_geometry_check_covers_the_last_block():
+    inst = generate(GeneratorSpec(Family.GKD, 300, 10, 3, dim=21))
+    assert instances._DIFF_BLOCK_SIZE // (300 * 21) < 150  # several blocks
+    d = inst.distances.copy()
+    d[299, 298] = d[298, 299] = d[299, 298] + 0.5
+    with pytest.raises(ValueError,
+                       match="distances disagree with coordinate geometry"):
+        Instance(inst.name, inst.family, d, coords=inst.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +439,7 @@ GENERATED_DIGEST_PINS = [
     (("mdg", 12, 3, 7, {"value_range": (2.5, 4.0)}),
      "ca722b22789339a3dbddac1ccb66617f6ab9d566a14afc179b32db67f064bfe7",
      None),
-    (("mdg", 12, 3, 8, {"round_5dp": True}),
+    (("mdg", 12, 3, 8, {}),
      "72f130c2f48306fcf0215fa62944cb625da41de05e358c4ca8ae5b90a87ebf05",
      None),
     (("gkd", 3, 2, 0, {}),
