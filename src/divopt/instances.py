@@ -210,8 +210,12 @@ def _euclidean(coords: np.ndarray, round_5dp: bool, name: str, family: Family,
     d = _pairwise_euclidean(coords)
     if round_5dp:
         d = np.round(d, 5)
-    return Instance(name=name, family=family, distances=d, coords=coords,
-                    default_m=default_m)
+    instance = Instance(name=name, family=family, distances=d,
+                        default_m=default_m)
+    # d is computed from coords, so the geometry check in Instance would
+    # only compute it again
+    instance.coords = coords
+    return instance
 
 
 @dataclass

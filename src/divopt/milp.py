@@ -27,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isnan
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .instances import Instance
 from .objectives import ObjectiveKind, Solution, evaluate
@@ -94,12 +96,13 @@ class TighteningConstants:
 
 def compute_constants(instance: Instance) -> TighteningConstants:
     # Instance rejects negative distances, so every min-part is zero and the
-    # max-parts are plain row sums, taken left to right as the formulas read
+    # max-parts are plain row sums, taken left to right as the formulas read.
+    # The zero diagonal leaves a running sum's bits as they are (the sum
+    # starts at +0.0 and never becomes -0.0), so U_i is the whole row's sum.
     rows = instance.distances.tolist()
     n = instance.n
     d_bar = tuple(float(sum(row[i + 1:])) for i, row in enumerate(rows))
-    upper = tuple(float(sum(row[:i] + row[i + 1:]))
-                  for i, row in enumerate(rows))
+    upper = tuple(map(sum, rows))
     zeros = (0.0,) * n
     return TighteningConstants(
         C=float(instance.distances.max()) + 1.0,
@@ -112,44 +115,39 @@ def compute_constants(instance: Instance) -> TighteningConstants:
     )
 
 
+_WIDTH = 78  # longest row line, unless one chunk alone is longer
+
+
 def _fmt(x: float) -> str:
     return repr(float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-def _x(i: int) -> str:
-    return f"x_{i + 1}"
+def _term(coef: float, var: str) -> str:
+    """A term with its sign, as it reads after the first: "+ 2.5 x_1"."""
+    return f"+ {_fmt(coef)} {var}" if coef >= 0 else f"- {_fmt(-coef)} {var}"
 
 
-def _y(i: int, j: int) -> str:
-    return f"y_{i + 1}_{j + 1}"
+def _lead(term: str) -> str:
+    """The same term first in its expression, where "+ " is left out."""
+    return term[2:] if term[0] == "+" else term
 
 
-def _terms(parts: list[tuple[float, str]]) -> list[str]:
-    """Render coefficient/variable terms with explicit signs and coefs."""
-    rendered = []
-    for coef, var in parts:
-        if not rendered:
-            lead = f"{_fmt(coef)} {var}" if coef >= 0 \
-                else f"- {_fmt(-coef)} {var}"
-            rendered.append(lead)
-        else:
-            sign = "+" if coef >= 0 else "-"
-            rendered.append(f"{sign} {_fmt(abs(coef))} {var}")
-    return rendered
-
-
-def _wrap(prefix: str, chunks: list[str], tail: str = "") -> list[str]:
+def _wrap(prefix: str, chunks: Sequence[str], tail: str = "") -> list[str]:
+    """Lines of one expression: the prefix, then each chunk and the tail
+    after a space.  A chunk or the tail that would take its line past
+    _WIDTH starts a new line, indented three spaces; the first chunk
+    never does."""
     # keep emitted lines short; LP readers accept expression line breaks
     lines = []
     cur = prefix
     for chunk in chunks:
-        if len(cur) + len(chunk) + 1 > 78 and cur != prefix:
+        if len(cur) + len(chunk) + 1 > _WIDTH and cur != prefix:
             lines.append(cur)
             cur = "   " + chunk
         else:
             cur = f"{cur} {chunk}"
     if tail:
-        if len(cur) + len(tail) + 1 > 78:
+        if len(cur) + len(tail) + 1 > _WIDTH:
             lines.append(cur)
             cur = "   " + tail
         else:
@@ -158,108 +156,146 @@ def _wrap(prefix: str, chunks: list[str], tail: str = "") -> list[str]:
     return lines
 
 
-# (name, [(coefficient, variable)], "<=" | ">=" | "=", right-hand side)
-_Row = tuple[str, list[tuple[float, str]], str, float]
+def _put(out: list[str], head: str, chunks: Sequence[str],
+         tail: str = "") -> None:
+    """Append one expression's lines to out.  A line that fits in _WIDTH
+    is what _wrap would give, so only longer ones go through it."""
+    line = " ".join((head, *chunks, tail) if tail else (head, *chunks))
+    if len(line) <= _WIDTH:
+        out.append(line)
+    else:
+        out.extend(_wrap(head, chunks, tail))
 
 
-@dataclass
-class _Model:
-    sense: str  # "Maximize" or "Minimize"
-    objective: list[tuple[float, str]]
-    rows: list[_Row]
-    free_vars: list[str]
-    binaries: list[str]
+def _units(x: list[str]) -> list[str]:
+    """1.0 x_1 + 1.0 x_2 + ... + 1.0 x_n, one chunk per node."""
+    return [f"1.0 {x[0]}", *(f"+ 1.0 {v}" for v in x[1:])]
 
 
-def _pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
+def _pairs(rows: list[list[float]]) -> list[tuple[int, int, str, float]]:
+    """(i, j, "<i+1>_<j+1>", d_ij) for every pair i < j, row by row."""
+    return [(i, j, f"{i + 1}_{j + 1}", d) for i, row in enumerate(rows)
+            for j, d in enumerate(row[i + 1:], i + 1)]
 
 
-def _linking_rows(n: int) -> list[_Row]:
+def _head(out: list[str], sense: str, objective: list[str]) -> None:
+    out.append(sense)
+    _put(out, " obj:", objective)
+    out.append("Subject To")
+
+
+def _card(out: list[str], x: list[str], m: int) -> None:
+    _put(out, " card:", _units(x), f"= {_fmt(m)}")
+
+
+def _linking(out: list[str], x: list[str], pairs) -> None:
     # y_ij = x_i x_j: y >= x_i + x_j - 1, y <= x_i, y <= x_j
-    rows = [(f"lk_{i+1}_{j+1}", [(1.0, _x(i)), (1.0, _x(j)), (-1.0, _y(i, j))],
-             "<=", 1.0) for i, j in _pairs(n)]
-    rows.extend((f"ua_{i+1}_{j+1}", [(-1.0, _x(i)), (1.0, _y(i, j))], "<=", 0.0)
-                for i, j in _pairs(n))
-    rows.extend((f"ub_{i+1}_{j+1}", [(-1.0, _x(j)), (1.0, _y(i, j))], "<=", 0.0)
-                for i, j in _pairs(n))
-    return rows
+    one = [f"1.0 {v}" for v in x]
+    plus = [f"+ 1.0 {v}" for v in x]
+    minus = [f"- 1.0 {v}" for v in x]
+    for i, j, p, _ in pairs:
+        _put(out, f" lk_{p}:", (one[i], plus[j], f"- 1.0 y_{p}"), "<= 1.0")
+    for i, j, p, _ in pairs:
+        _put(out, f" ua_{p}:", (minus[i], f"+ 1.0 y_{p}"), "<= 0.0")
+    for i, j, p, _ in pairs:
+        _put(out, f" ub_{p}:", (minus[j], f"+ 1.0 y_{p}"), "<= 0.0")
 
 
-def _contribution_rows(d, n: int, var: str, sense: str,
-                       lift: list[float]) -> list[_Row]:
-    # var sense sum_{j!=i} d_ij x_j + lift_i (1 - x_i), one row per node i
-    rows = []
-    for i in range(n):
-        terms = [(1.0, var)]
-        terms.extend((-float(d[i, j]), _x(j)) for j in range(n) if j != i)
-        terms.append((lift[i], _x(i)))
-        rows.append((f"{var}_{i+1}", terms, sense, lift[i]))
-    return rows
+def _contribution_terms(instance: Instance, x: list[str]) -> list[list[str]]:
+    """Row i: the terms -d_ij x_j for j != i, in j order."""
+    # -d_ij as signed text, j > i, one repr per distance; a zero of either
+    # sign reads "+ 0.0"
+    coefs = [["- " + repr(v) if v else "+ 0.0" for v in row[i + 1:]]
+             for i, row in enumerate(instance.distances.tolist())]
+    return [[f"{coefs[j][i - j - 1]} {x[j]}" for j in range(i)]
+            + [f"{c} {v}" for c, v in zip(coefs[i], x[i + 1:])]
+            for i in range(len(x))]
 
 
-def _build(instance: Instance, kind: FormulationKind, m: Optional[int],
-           l: Optional[float], konst: TighteningConstants) -> _Model:
-    d = instance.distances
-    n = instance.n
-    xs = [_x(i) for i in range(n)]
-    card_eq = ("card", [(1.0, v) for v in xs], "=", float(m) if m else 0.0)
+def _contributions(out: list[str], x: list[str], terms: list[list[str]],
+                   var: str, sense: str, lift: list[float]) -> None:
+    # var sense sum_{j!=i} d_ij x_j + lift_i (1 - x_i), one row per node i.
+    # The lift term prints the right-hand side's number: the lifts are
+    # never NaN, so a negative one reads "-<|lift|>" there.
+    for i, row in enumerate(terms):
+        rhs = _fmt(lift[i])
+        last = f"+ {rhs} {x[i]}" if lift[i] >= 0 else f"- {rhs[1:]} {x[i]}"
+        _put(out, f" {var}_{i + 1}:", [f"1.0 {var}", *row, last],
+             f"{sense} {rhs}")
 
-    if kind is FormulationKind.MAXSUM_KUO:
-        obj = [(float(d[i, j]), _y(i, j)) for i, j in _pairs(n)]
-        return _Model("Maximize", obj, [card_eq] + _linking_rows(n), [], xs)
+
+def _write_model(out: list[str], instance: Instance, kind: FormulationKind,
+                 x: list[str], m: Optional[int], l: Optional[float],
+                 konst: TighteningConstants) -> list[str]:
+    """Append the sense, objective and rows of one formulation to out, and
+    return its free variables."""
+    if kind in (FormulationKind.MAXSUM_KUO, FormulationKind.MAXMIN_KUO):
+        pairs = _pairs(instance.distances.tolist())
+        if kind is FormulationKind.MAXSUM_KUO:
+            obj = [f"+ {d + 0.0!r} y_{p}" for _, _, p, d in pairs]
+            obj[0] = _lead(obj[0])
+            free = []
+        else:
+            obj, free = ["1.0 w"], ["w"]
+        _head(out, "Maximize", obj)
+        _card(out, x, m)
+        if kind is FormulationKind.MAXMIN_KUO:
+            rhs = f"<= {_fmt(konst.C)}"
+            for _, _, p, d in pairs:
+                _put(out, f" th_{p}:",
+                     (_lead(_term(konst.C - d, f"y_{p}")), "+ 1.0 w"), rhs)
+        _linking(out, x, pairs)
+        return free
 
     if kind is FormulationKind.MAXSUM_W:
-        ws = [f"w_{i + 1}" for i in range(n - 1)]
-        obj = [(1.0, w) for w in ws]
-        rows = [card_eq]
-        for i in range(n - 1):
-            rows.append((f"wa_{i+1}",
-                         [(-konst.D_bar[i], _x(i)), (1.0, ws[i])], "<=", 0.0))
-        for i in range(n - 1):
+        ws = [f"w_{i}" for i in range(1, instance.n)]
+        _head(out, "Maximize", _units(ws))
+        _card(out, x, m)
+        for i, w in enumerate(ws):
+            _put(out, f" wa_{i + 1}:",
+                 (_lead(_term(-konst.D_bar[i], x[i])), f"+ 1.0 {w}"), "<= 0.0")
+        rows = instance.distances.tolist()
+        for i, w in enumerate(ws):
             # -sum_{j>i} d_ij x_j + D_dbar_i (1 - x_i) + w_i <= 0
-            terms = [(-float(d[i, j]), _x(j)) for j in range(i + 1, n)]
-            terms.append((-konst.D_dbar[i], _x(i)))
-            terms.append((1.0, ws[i]))
-            rows.append((f"wb_{i+1}", terms, "<=", -konst.D_dbar[i]))
-        return _Model("Maximize", obj, rows, list(ws), xs)
-
-    if kind is FormulationKind.MAXMIN_KUO:
-        obj = [(1.0, "w")]
-        rows = [card_eq]
-        for i, j in _pairs(n):
-            rows.append((f"th_{i+1}_{j+1}",
-                         [(konst.C - float(d[i, j]), _y(i, j)), (1.0, "w")],
-                         "<=", konst.C))
-        rows.extend(_linking_rows(n))
-        return _Model("Maximize", obj, rows, ["w"], xs)
+            terms = [f"- {d!r} {v}" if d else f"+ 0.0 {v}"
+                     for d, v in zip(rows[i][i + 1:], x[i + 1:])]
+            terms[0] = _lead(terms[0])
+            terms += (_term(-konst.D_dbar[i], x[i]), f"+ 1.0 {w}")
+            _put(out, f" wb_{i + 1}:", terms, f"<= {_fmt(-konst.D_dbar[i])}")
+        return ws
 
     # s <= sum_{j!=i} d_ij x_j - L_i (1 - x_i) + U_plus (1 - x_i)
-    s_lift = [konst.U_plus - konst.L[i] for i in range(n)]
+    s_lift = [konst.U_plus - low for low in konst.L]
     if kind is FormulationKind.MAXMINSUM_TIGHT:
-        rows = [card_eq] + _contribution_rows(d, n, "s", "<=", s_lift)
-        return _Model("Maximize", [(1.0, "s")], rows, ["s"], xs)
+        _head(out, "Maximize", ["1.0 s"])
+        _card(out, x, m)
+        _contributions(out, x, _contribution_terms(instance, x), "s", "<=",
+                       s_lift)
+        return ["s"]
 
     if kind is FormulationKind.MINDIFF_TIGHT:
+        _head(out, "Minimize", ["1.0 t"])
         # the printed model indexes the t-row over i without using i; one
         # row carries the same content
-        rows = [("diff", [(1.0, "t"), (-1.0, "r"), (1.0, "s")], ">=", 0.0)]
+        _put(out, " diff:", ("1.0 t", "- 1.0 r", "+ 1.0 s"), ">= 0.0")
+        terms = _contribution_terms(instance, x)
         # r >= sum_{j!=i} d_ij x_j - U_i (1 - x_i) + L_minus (1 - x_i)
-        r_lift = [konst.L_minus - konst.U[i] for i in range(n)]
-        rows.extend(_contribution_rows(d, n, "r", ">=", r_lift))
-        rows.extend(_contribution_rows(d, n, "s", "<=", s_lift))
-        rows.append(card_eq)
-        return _Model("Minimize", [(1.0, "t")], rows, ["t", "r", "s"], xs)
+        _contributions(out, x, terms, "r", ">=",
+                       [konst.L_minus - up for up in konst.U])
+        _contributions(out, x, terms, "s", "<=", s_lift)
+        _card(out, x, m)
+        return ["t", "r", "s"]
 
     # threshold kinds: one conflict row per edge of G(l)
-    rows = [(f"e_{i+1}_{j+1}", [(1.0, _x(i)), (1.0, _x(j))], "<=", 1.0)
-            for i, j in _pairs(n) if d[i, j] < l]
-    if kind is FormulationKind.NODE_PACKING:
-        return _Model("Maximize", [(1.0, v) for v in xs], rows, [], xs)
-    rows.append(card_eq)
-    return _Model("Maximize", [(0.0, xs[0])], rows, [], xs)
+    feasibility = kind is FormulationKind.PACKING_FEASIBILITY
+    _head(out, "Maximize", ["0.0 x_1"] if feasibility else _units(x))
+    ii, jj = np.nonzero(np.triu(instance.distances < l, 1))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        _put(out, f" e_{i + 1}_{j + 1}:", (f"1.0 {x[i]}", f"+ 1.0 {x[j]}"),
+             "<= 1.0")
+    if feasibility:
+        _card(out, x, m)
+    return []
 
 
 def _check_threshold(kind: FormulationKind, l: Optional[float]) -> None:
@@ -281,35 +317,29 @@ def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
     if kind.needs_l:
         _check_threshold(kind, l)
     konst = compute_constants(instance)
-    model = _build(instance, kind, m if kind.needs_m else None,
-                   l if kind.needs_l else None, konst)
 
-    lines = [
+    out = [
         f"\\ instance: {instance.name}",
         f"\\ nodes: {instance.n}",
         f"\\ formulation: {kind.value}",
     ]
     if kind.needs_m:
-        lines.append(f"\\ m: {m}")
+        out.append(f"\\ m: {m}")
     if kind.needs_l:
-        lines.append(f"\\ threshold: {_fmt(l)}")
-    lines.append(f"\\ constants: C={_fmt(konst.C)} U_plus={_fmt(konst.U_plus)}"
-                 f" L_minus={_fmt(konst.L_minus)}")
-    lines.append("\\ variables: x_<i> node selection (1-based); y_<i>_<j> pair"
-                 " indicator;")
-    lines.append("\\   w_<i>/w/s/t/r auxiliary objective variables")
-    lines.append(model.sense)
-    lines.extend(_wrap(" obj:", _terms(model.objective)))
-    lines.append("Subject To")
-    for name, terms, op, rhs in model.rows:
-        lines.extend(_wrap(f" {name}:", _terms(terms), tail=f"{op} {_fmt(rhs)}"))
-    lines.append("Bounds")
-    for v in model.free_vars:
-        lines.append(f" {v} free")
-    lines.append("Binaries")
-    lines.extend(_wrap("", model.binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        out.append(f"\\ threshold: {_fmt(l)}")
+    out.append(f"\\ constants: C={_fmt(konst.C)} U_plus={_fmt(konst.U_plus)}"
+               f" L_minus={_fmt(konst.L_minus)}")
+    out.append("\\ variables: x_<i> node selection (1-based); y_<i>_<j> pair"
+               " indicator;")
+    out.append("\\   w_<i>/w/s/t/r auxiliary objective variables")
+    x = [f"x_{k}" for k in range(1, instance.n + 1)]
+    free = _write_model(out, instance, kind, x, m, l, konst)
+    out.append("Bounds")
+    out.extend(f" {v} free" for v in free)
+    out.append("Binaries")
+    _put(out, "", x)
+    out.append("End")
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)

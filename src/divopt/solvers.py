@@ -432,7 +432,10 @@ def _max_independent(cand: int, adj: tuple[int, ...],
             if cand.bit_count() + cur <= best:
                 return
 
-    bb(cand, 0, 0)
+    try:
+        bb(cand, 0, 0)
+    finally:
+        del bb  # bb reaches itself through its closure cell: break the cycle
     return forced | best_bits
 
 
@@ -914,6 +917,8 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
         rec((1 << len(adj)) - 1, [], 0.0)
     except _Exhausted:
         return nodes, True
+    finally:
+        del rec  # rec reaches itself through its closure cell: break the cycle
     return nodes, False
 
 

@@ -272,6 +272,33 @@ def test_geometry_check_covers_the_last_block():
         Instance(inst.name, inst.family, d, coords=inst.coords)
 
 
+@pytest.mark.parametrize("family", [Family.GKD, Family.GKD_D])
+def test_geometry_computed_once_and_checked_for_given_pairs(monkeypatch,
+                                                            family):
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape)
+        return pairwise(points)
+
+    pairwise = instances._pairwise_euclidean
+    monkeypatch.setattr(instances, "_pairwise_euclidean", counted)
+    inst = generate(GeneratorSpec(family, 12, 3, 5))
+    # generate derives the distances from the coordinates once
+    assert len(calls) == 1
+    # callers that pass both arrays still get the geometry check
+    truncate(inst, 7)
+    parse_instance(write_instance(inst))
+    Instance(inst.name, inst.family, inst.distances, coords=inst.coords)
+    assert calls[1:] == [(7, inst.coords.shape[1]), inst.coords.shape,
+                         inst.coords.shape]
+    moved = inst.coords.copy()
+    moved[3, 0] += 0.5
+    with pytest.raises(ValueError,
+                       match="distances disagree with coordinate geometry"):
+        Instance(inst.name, inst.family, inst.distances, coords=moved)
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divopt.milp
+from _tuple_emit import _wrap as tuple_wrap
+from _tuple_emit import tuple_emit
 from divopt import (Family, FormulationKind, GeneratorSpec, Instance,
                     ObjectiveKind, TighteningConstants, brute_force,
                     compute_constants, emit, generate, parse_solution_vector,
-                    spectrum_stats, verify_external)
+                    solve_maxmin_improved, spectrum_stats, verify_external)
+from divopt.instances import truncate
 
 GOLDEN_MAXMINSUM = """\
 \\ instance: t4
@@ -120,16 +126,17 @@ def test_emit_argument_validation(t4):
 
 
 def test_lines_stay_within_width():
-    inst = generate(GeneratorSpec(family=Family.MDG, n=25, m=5, seed=3))
-    for kind in FormulationKind:
-        kw = {}
-        if kind.needs_m:
-            kw["m"] = 5
-        if kind.needs_l:
-            kw["l"] = float(np.median(inst.pair_values()))
-        text = emit(inst, kind, **kw)
-        assert all(len(line) <= 78 for line in text.splitlines())
-        assert text.endswith("End\n")
+    for n in (25, 100):
+        inst = generate(GeneratorSpec(family=Family.MDG, n=n, m=5, seed=3))
+        for kind in FormulationKind:
+            kw = {}
+            if kind.needs_m:
+                kw["m"] = 5
+            if kind.needs_l:
+                kw["l"] = float(np.median(inst.pair_values()))
+            text = emit(inst, kind, **kw)
+            assert all(len(line) <= 78 for line in text.splitlines())
+            assert text.endswith("End\n")
 
 
 def test_parse_solution_vector():
@@ -343,3 +350,64 @@ def test_lp_bridge_matches_brute_force_on_highs_faults(family, seed, kind,
     assert abs(value - native.value) <= 1e-6
     check = verify_external(inst, kind, 3, x_text)
     assert check.valid and abs(check.value - native.value) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the tuple emitter (tests/_tuple_emit.py), the rendering
+# that emit replaced
+# ---------------------------------------------------------------------------
+
+def _same_bytes_all_kinds(inst, m, thresholds):
+    for kind in FormulationKind:
+        for l in thresholds if kind.needs_l else [None]:
+            got = emit(inst, kind, m=m if kind.needs_m else None, l=l)
+            want = tuple_emit(inst, kind, m=m, l=l)
+            assert got.encode() == want.encode(), (kind, l)
+
+
+@pytest.mark.parametrize("family", ["gkd", "gkd-d", "mdg", "som"])
+@pytest.mark.parametrize("n", [2, 3, 6, 25, 60])
+def test_emit_same_bytes_as_tuple_emitter(family, n):
+    m = 2 if n < 6 else 3
+    # GeneratorSpec needs m < n, so n = 2 is the leading block of n = 3
+    inst = generate(GeneratorSpec(family=Family.from_string(family),
+                                  n=max(n, 3), m=2, seed=n))
+    if n == 2:
+        inst = truncate(inst, 2)
+    values = spectrum_stats(inst).distinct_values
+    d_star = solve_maxmin_improved(inst, m).value
+    # thresholds: d_min, the middle distinct value, the MaxMin optimum,
+    # above d_max (every pair conflicts) and inf
+    _same_bytes_all_kinds(inst, m, [values[0], values[len(values) // 2],
+                                    d_star, values[-1] + 1.0, math.inf])
+
+
+def test_emit_same_bytes_when_rows_wrap():
+    # distances near 1.2345678901234567e+200 print 23 characters each, so
+    # with 3-digit indices the th and wb rows pass the width and go through
+    # _wrap; an e row holds no distance and stays far below the width
+    n = 102
+    u = np.triu(np.random.default_rng(5).uniform(0.5, 1.0, (n, n)), 1)
+    d = (u + u.T) * 1.2345678901234567e+200
+    inst = Instance(name="huge", family=Family.CUSTOM, distances=d)
+    wrapped = set()
+    for kind in (FormulationKind.MAXSUM_W, FormulationKind.MAXMIN_KUO):
+        lines = emit(inst, kind, m=5).splitlines()
+        wrapped |= {a.split("_")[0].strip() for a, b in zip(lines, lines[1:])
+                    if b.startswith("   ") and not a.startswith("   ")}
+    assert {"th", "wb"} <= wrapped
+    values = spectrum_stats(inst).distinct_values
+    _same_bytes_all_kinds(inst, 5, [values[0], values[len(values) // 2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=st.sampled_from(["", " obj:", " th_100_101:", " " + "h" * 80]),
+       chunks=st.lists(st.integers(1, 90).map(lambda k: "c" * k),
+                       max_size=12),
+       tail=st.sampled_from(["", "<= 1.0", "t" * 79]))
+def test_row_writer_matches_old_wrap(head, chunks, tail):
+    # one line when it fits, else _wrap: the same lines as the old _wrap
+    out = []
+    divopt.milp._put(out, head, chunks, tail)
+    assert out == tuple_wrap(head, chunks, tail)
+    assert divopt.milp._wrap(head, chunks, tail) == out

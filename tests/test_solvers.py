@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -516,6 +517,37 @@ def test_bilevel_rejects_bad_upper(t4):
         solve_bilevel(t4, 3, ObjectiveKind.MAXMIN)
     with pytest.raises(ValueError):
         solve_bilevel(t4, 3, ObjectiveKind.MAXSUM, mode="nope")
+
+
+def test_recursive_searches_leave_no_garbage_cycles():
+    # _walk_subsets' rec and _max_independent's bb reach themselves through
+    # their closure cells; each call must break that cycle, or the walker's
+    # distance rows stay alive until the next full collection
+    small = generate(GeneratorSpec(family=Family.MDG, n=25, m=5, seed=1))
+    planar = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=0))
+    values = spectrum_stats(small).distinct_values
+    calls = [
+        lambda: solve_maxsum_bnb(small, 5),
+        lambda: solve_bilevel(planar, 6, ObjectiveKind.MAXSUM, mode="exact"),
+        lambda: solve_bilevel(planar, 6, ObjectiveKind.MAXMINSUM,
+                              mode="exact"),
+        lambda: solve_bilevel(planar, 6, ObjectiveKind.MAXSUM,
+                              mode="enumerate"),
+        lambda: solve_bilevel(planar, 6, ObjectiveKind.MAXMINSUM,
+                              mode="enumerate"),
+        lambda: enumerate_maxmin_optima(small, 5),
+        lambda: max_packing(small, values[len(values) // 2]),
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @given(seed=st.integers(0, 5_000))
