@@ -95,18 +95,24 @@ class TighteningConstants:
 
 
 def compute_constants(instance: Instance) -> TighteningConstants:
+    return _constants(instance, instance.distances.tolist(), d_bar=True)
+
+
+def _constants(instance: Instance, rows: list[list[float]],
+               d_bar: bool) -> TighteningConstants:
+    """compute_constants from rows, the distance matrix as lists; D_bar
+    stays empty without d_bar (only maxsum_w reads it)."""
     # Instance rejects negative distances, so every min-part is zero and the
     # max-parts are plain row sums, taken left to right as the formulas read.
     # The zero diagonal leaves a running sum's bits as they are (the sum
     # starts at +0.0 and never becomes -0.0), so U_i is the whole row's sum.
-    rows = instance.distances.tolist()
-    n = instance.n
-    d_bar = tuple(float(sum(row[i + 1:])) for i, row in enumerate(rows))
     upper = tuple(map(sum, rows))
-    zeros = (0.0,) * n
+    zeros = (0.0,) * instance.n
+    bars = (tuple(float(sum(row[i + 1:])) for i, row in enumerate(rows))
+            if d_bar else ())
     return TighteningConstants(
         C=float(instance.distances.max()) + 1.0,
-        D_bar=d_bar,
+        D_bar=bars,
         D_dbar=zeros,
         U_plus=1.0 + max(upper),
         L=zeros,
@@ -201,12 +207,13 @@ def _linking(out: list[str], x: list[str], pairs) -> None:
         _put(out, f" ub_{p}:", (minus[j], f"+ 1.0 y_{p}"), "<= 0.0")
 
 
-def _contribution_terms(instance: Instance, x: list[str]) -> list[list[str]]:
+def _contribution_terms(rows: list[list[float]],
+                        x: list[str]) -> list[list[str]]:
     """Row i: the terms -d_ij x_j for j != i, in j order."""
     # -d_ij as signed text, j > i, one repr per distance; a zero of either
     # sign reads "+ 0.0"
     coefs = [["- " + repr(v) if v else "+ 0.0" for v in row[i + 1:]]
-             for i, row in enumerate(instance.distances.tolist())]
+             for i, row in enumerate(rows)]
     return [[f"{coefs[j][i - j - 1]} {x[j]}" for j in range(i)]
             + [f"{c} {v}" for c, v in zip(coefs[i], x[i + 1:])]
             for i in range(len(x))]
@@ -224,13 +231,13 @@ def _contributions(out: list[str], x: list[str], terms: list[list[str]],
              f"{sense} {rhs}")
 
 
-def _write_model(out: list[str], instance: Instance, kind: FormulationKind,
-                 x: list[str], m: Optional[int], l: Optional[float],
-                 konst: TighteningConstants) -> list[str]:
+def _write_model(out: list[str], instance: Instance, rows: list[list[float]],
+                 kind: FormulationKind, x: list[str], m: Optional[int],
+                 l: Optional[float], konst: TighteningConstants) -> list[str]:
     """Append the sense, objective and rows of one formulation to out, and
-    return its free variables."""
+    return its free variables; rows is instance.distances as lists."""
     if kind in (FormulationKind.MAXSUM_KUO, FormulationKind.MAXMIN_KUO):
-        pairs = _pairs(instance.distances.tolist())
+        pairs = _pairs(rows)
         if kind is FormulationKind.MAXSUM_KUO:
             obj = [f"+ {d + 0.0!r} y_{p}" for _, _, p, d in pairs]
             obj[0] = _lead(obj[0])
@@ -254,7 +261,6 @@ def _write_model(out: list[str], instance: Instance, kind: FormulationKind,
         for i, w in enumerate(ws):
             _put(out, f" wa_{i + 1}:",
                  (_lead(_term(-konst.D_bar[i], x[i])), f"+ 1.0 {w}"), "<= 0.0")
-        rows = instance.distances.tolist()
         for i, w in enumerate(ws):
             # -sum_{j>i} d_ij x_j + D_dbar_i (1 - x_i) + w_i <= 0
             terms = [f"- {d!r} {v}" if d else f"+ 0.0 {v}"
@@ -269,7 +275,7 @@ def _write_model(out: list[str], instance: Instance, kind: FormulationKind,
     if kind is FormulationKind.MAXMINSUM_TIGHT:
         _head(out, "Maximize", ["1.0 s"])
         _card(out, x, m)
-        _contributions(out, x, _contribution_terms(instance, x), "s", "<=",
+        _contributions(out, x, _contribution_terms(rows, x), "s", "<=",
                        s_lift)
         return ["s"]
 
@@ -278,7 +284,7 @@ def _write_model(out: list[str], instance: Instance, kind: FormulationKind,
         # the printed model indexes the t-row over i without using i; one
         # row carries the same content
         _put(out, " diff:", ("1.0 t", "- 1.0 r", "+ 1.0 s"), ">= 0.0")
-        terms = _contribution_terms(instance, x)
+        terms = _contribution_terms(rows, x)
         # r >= sum_{j!=i} d_ij x_j - U_i (1 - x_i) + L_minus (1 - x_i)
         _contributions(out, x, terms, "r", ">=",
                        [konst.L_minus - up for up in konst.U])
@@ -316,7 +322,8 @@ def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
             raise ValueError(f"require 2 <= m <= n, got m={m}, n={instance.n}")
     if kind.needs_l:
         _check_threshold(kind, l)
-    konst = compute_constants(instance)
+    rows = instance.distances.tolist()
+    konst = _constants(instance, rows, kind is FormulationKind.MAXSUM_W)
 
     out = [
         f"\\ instance: {instance.name}",
@@ -333,7 +340,7 @@ def emit(instance: Instance, kind: FormulationKind, m: Optional[int] = None,
                " indicator;")
     out.append("\\   w_<i>/w/s/t/r auxiliary objective variables")
     x = [f"x_{k}" for k in range(1, instance.n + 1)]
-    free = _write_model(out, instance, kind, x, m, l, konst)
+    free = _write_model(out, instance, rows, kind, x, m, l, konst)
     out.append("Bounds")
     out.extend(f" {v} free" for v in free)
     out.append("Binaries")

@@ -871,6 +871,9 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     distance sum from remaining[i] into chosen (in pick order) and need the
     picks missing.  Without prune, D may be None and cur stays 0.0.  A
     child with fewer candidates than it needs is skipped, not visited.
+    The gains and prune wait for the first child that keeps enough: a node
+    with none is left before they are computed, and is still visited and
+    counted once.
     Returns (visited nodes, whether max_nodes or the deadline stopped it).
     """
     nodes = 0
@@ -883,17 +886,7 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
         if need == 0:
             return leaf(chosen, cur)
         gains = None
-        if prune is not None:
-            remaining = _bits_to_nodes(cand)
-            gains = []
-            for v in remaining:
-                row = D[v]
-                gain = 0.0
-                for s in chosen:
-                    gain += row[s]
-                gains.append(gain)
-            if prune(cur, gains, remaining, need):
-                return True
+        pending = prune is not None  # until the first child with enough
         i = 0  # position of v in remaining
         scan = cand
         while scan:
@@ -904,6 +897,20 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
             v = low.bit_length() - 1
             child = scan & ~adj[v]
             if child.bit_count() >= need - 1:
+                if pending:
+                    # no pick is made before here, so prune sees the
+                    # incumbent the node was entered with
+                    pending = False
+                    remaining = _bits_to_nodes(cand)
+                    gains = []
+                    for u in remaining:
+                        row = D[u]
+                        gain = 0.0
+                        for s in chosen:
+                            gain += row[s]
+                        gains.append(gain)
+                    if prune(cur, gains, remaining, need):
+                        return True
                 chosen.append(v)
                 keep = rec(child, chosen,
                            cur if gains is None else cur + gains[i])
@@ -962,6 +969,8 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
 
     def prune(cur: float, gains: list[float], remaining: tuple[int, ...],
               need: int) -> bool:
+        if best_combo is None:
+            return False  # no incumbent for a bound to cut against
         bound = cur + _sum_completion_bound(D, gains, remaining, need)
         if not maxsum:
             bound = 2.0 * bound / m

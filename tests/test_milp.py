@@ -266,8 +266,10 @@ def test_lp_text_same_as_numpy_indexed_constants(monkeypatch, family, n, seed):
     kinds = list(FormulationKind)
     got = [emit(inst, kind, m=4, l=l) for kind in kinds]
     assert compute_constants(inst) == _numpy_indexed_constants(inst)
-    monkeypatch.setattr(divopt.milp, "compute_constants",
-                        _numpy_indexed_constants)
+    # emit's own constants (D_bar only for maxsum_w) against the formulas
+    monkeypatch.setattr(divopt.milp, "_constants",
+                        lambda instance, rows, d_bar:
+                        _numpy_indexed_constants(instance))
     want = [emit(inst, kind, m=4, l=l) for kind in kinds]
     assert len(kinds) == 7
     for kind, a, b in zip(kinds, got, want):

@@ -480,6 +480,36 @@ def test_maxmin_matches_brute(seed, n, m):
     assert other.value == slow.value
 
 
+@pytest.mark.parametrize("family,n,m,seed", [
+    ("gkd-d", 60, 8, 1), ("gkd-d", 100, 10, 13), ("gkd-d", 150, 10, 5),
+    ("gkd", 80, 10, 2), ("gkd", 120, 10, 9), ("gkd", 150, 10, 10),
+    ("mdg", 60, 6, 4), ("mdg", 100, 10, 3), ("mdg", 150, 10, 7),
+    ("som", 80, 8, 11), ("som", 120, 10, 4), ("som", 150, 15, 8)])
+def test_maxmin_optimal_by_independent_clique_oracle(family, n, m, seed):
+    # beyond brute-force sizes: z* is optimal when the witness scores z* and
+    # no m-subset keeps every distance >= z+, the next distinct value, i.e.
+    # when the largest clique of "d >= z+" (networkx, sharing no code with
+    # divopt's searches) has fewer than m nodes
+    nx = pytest.importorskip("networkx")
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    res = solve_maxmin_improved(inst, m)
+    assert res.status is SolveStatus.OPTIMAL
+    d = inst.distances
+    witness = list(res.solution)
+    assert len(set(witness)) == m
+    assert d[np.ix_(witness, witness)][np.triu_indices(m, 1)].min() == res.value
+    values = np.unique(d[np.triu_indices(n, 1)])
+    above = values[values > res.value]
+    assert len(above)  # z* is below the largest distance on all of these
+    far = nx.Graph()
+    far.add_nodes_from(range(n))
+    far.add_edges_from(zip(*(ix.tolist() for ix in
+                              np.nonzero(np.triu(d >= above[0], 1)))))
+    _, alpha = nx.max_weight_clique(far, weight=None)
+    assert alpha < m
+
+
 # ---------------------------------------------------------------------------
 # bi-level
 # ---------------------------------------------------------------------------
@@ -681,6 +711,145 @@ def test_exact_bilevel_node_budget_raises():
     with pytest.raises(BudgetExceededError, match="exact bi-level"):
         solve_bilevel(inst, 6, ObjectiveKind.MAXMINSUM, mode="exact",
                       budget=SolverBudget(max_nodes=50))
+
+
+def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
+                            deadline=None):
+    # _walk_subsets as it was before it looked for a live child first: every
+    # inner node builds its gains and asks prune before it scans children
+    nodes = 0
+
+    def rec(cand, chosen, cur):
+        nonlocal nodes
+        nodes += 1
+        solvers._check_limits(nodes, max_nodes, deadline)
+        need = m - len(chosen)
+        if need == 0:
+            return leaf(chosen, cur)
+        gains = None
+        if prune is not None:
+            remaining = _bits_to_nodes(cand)
+            gains = []
+            for v in remaining:
+                gain = 0.0
+                for s in chosen:
+                    gain += D[v][s]
+                gains.append(gain)
+            if prune(cur, gains, remaining, need):
+                return True
+        i = 0
+        scan = cand
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if scan.bit_count() < need - 1:
+                break
+            v = low.bit_length() - 1
+            child = scan & ~adj[v]
+            if child.bit_count() >= need - 1:
+                chosen.append(v)
+                keep = rec(child, chosen,
+                           cur if gains is None else cur + gains[i])
+                chosen.pop()
+                if not keep:
+                    return False
+            i += 1
+        return True
+
+    try:
+        rec((1 << len(adj)) - 1, [], 0.0)
+    except solvers._Exhausted:
+        return nodes, True
+    finally:
+        del rec
+    return nodes, False
+
+
+def _reference_best_subset(D, adj, m, upper_kind, max_nodes, deadline):
+    # _best_subset as it was before its prune waited for an incumbent
+    maxsum = upper_kind is ObjectiveKind.MAXSUM
+    best_val = -math.inf
+    best_combo = None
+    leaves = 0
+
+    def leaf(chosen, cur):
+        nonlocal best_val, best_combo, leaves
+        leaves += 1
+        val = cur if maxsum else _score_plain(D, tuple(chosen), upper_kind)
+        if val > best_val:
+            best_val, best_combo = val, tuple(chosen)
+        return True
+
+    def prune(cur, gains, remaining, need):
+        bound = cur + _sum_completion_bound(D, gains, remaining, need)
+        if not maxsum:
+            bound = 2.0 * bound / m
+        return bound <= best_val
+
+    nodes, exhausted = solvers._walk_subsets(D, adj, m, leaf, prune,
+                                             max_nodes, deadline)
+    return best_combo, leaves, nodes, exhausted
+
+
+def _walk_log(monkeypatch, walk, call):
+    # call() with solvers._walk_subsets replaced by walk, and every leaf the
+    # walk handed over, as (subset, MaxSum value hex), in walk order
+    leaves = []
+
+    def logged(D, adj, m, leaf, *rest):
+        def log(chosen, cur):
+            leaves.append((tuple(chosen), cur.hex()))
+            return leaf(chosen, cur)
+        return walk(D, adj, m, log, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_walk_subsets", logged)
+        out = call()
+    return out, leaves
+
+
+# (family, n, m, seed): MaxSum B&B runs on the small ones only; the last
+# four are model-compare's exact bi-level corpus
+WALKER_DIFF_SMALL = [("gkd-d", 12, 4, 0), ("gkd", 16, 4, 1), ("mdg", 18, 5, 2),
+                     ("som", 20, 5, 3), ("gkd-d", 24, 6, 4), ("gkd", 24, 5, 5),
+                     ("mdg", 26, 4, 6), ("som", 28, 6, 7)]
+WALKER_DIFF_LARGE = [("gkd", 40, 6, 8), ("mdg", 45, 5, 9), ("som", 50, 6, 10),
+                     ("gkd-d", 60, 8, 0), ("gkd-d", 65, 8, 1),
+                     ("gkd-d", 70, 8, 3), ("gkd-d", 80, 8, 2)]
+
+
+@pytest.mark.parametrize("spec", WALKER_DIFF_SMALL + WALKER_DIFF_LARGE,
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_walker_same_as_reference_walker(monkeypatch, spec):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    D = inst.distances.tolist()
+    d_star = solve_maxmin_improved(inst, m).value
+    g_star = build_threshold_graph(inst, d_star).adj
+    runs = [(g_star, kind) for kind in (ObjectiveKind.MAXSUM,
+                                        ObjectiveKind.MAXMINSUM)]
+    if spec in WALKER_DIFF_SMALL:
+        runs.append(((0,) * n, ObjectiveKind.MAXSUM))  # MaxSum B&B
+    for adj, kind in runs:
+        for max_nodes in (None, 50, 300, 2_000):
+            args = (D, adj, m, kind, max_nodes, None)
+            got = _walk_log(monkeypatch, solvers._walk_subsets,
+                            lambda: solvers._best_subset(*args))
+            want = _walk_log(monkeypatch, _reference_walk_subsets,
+                             lambda: _reference_best_subset(*args))
+            assert got == want, (kind, max_nodes)
+    # MaxMin enumeration: no prune, so every independent m-set of G(z*)
+    for max_nodes in (None, 50, 300):
+        def enumerate_walk():
+            return solvers._walk_subsets(None, g_star, m,
+                                         lambda chosen, cur: True,
+                                         None, max_nodes)
+        got = _walk_log(monkeypatch, solvers._walk_subsets, enumerate_walk)
+        want = _walk_log(monkeypatch, _reference_walk_subsets, enumerate_walk)
+        assert got == want, max_nodes
+        # unbounded, it lists the MaxMin witness at least
+        assert got[1] or max_nodes is not None
 
 
 # ---------------------------------------------------------------------------
