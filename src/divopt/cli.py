@@ -268,35 +268,33 @@ def _pairing_from_results(inst, primary_res, secondary_res):
         secondary_optimum=secondary_res.value)
 
 
+def _model_subset(inst: Instance, m: Optional[int], name: str,
+                  budget: Optional[SolverBudget]) -> Optional[Solution]:
+    """The subset that model ``name`` selects, bi-level models included."""
+    if m is None:
+        raise ValueError("subset size m required (flag --m or header)")
+    if name.startswith("bilevel-"):
+        upper = ObjectiveKind.from_string(name.split("-", 1)[1])
+        return solve_bilevel(inst, m, upper, budget=budget).chosen
+    kind = ObjectiveKind.from_string(name)
+    return solve_model(inst, m, kind, budget).solution
+
+
 def cmd_plot(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     budget = _budget_from(args)
     m = args.m if args.m is not None else inst.default_m
     models = _split_models(args.models, _MODEL_CHOICES) if args.models else []
     if args.style == "scatter":
-        labeled = []
-        for name in models:
-            if m is None:
-                raise ValueError("subset size m required (flag --m or header)")
-            if name.startswith("bilevel-"):
-                upper = ObjectiveKind.from_string(name.split("-", 1)[1])
-                labeled.append((name, solve_bilevel(inst, m, upper,
-                                                    budget=budget).chosen))
-            else:
-                kind = ObjectiveKind.from_string(name)
-                labeled.append((name, solve_model(inst, m, kind,
-                                                  budget).solution))
-        text = scatter_svg(inst, labeled)
+        text = scatter_svg(inst, [(name, _model_subset(inst, m, name, budget))
+                                  for name in models])
     else:
         if len(models) != 1:
             raise ValueError("histogram style needs exactly one model")
-        if m is None:
-            raise ValueError("subset size m required (flag --m or header)")
-        kind = ObjectiveKind.from_string(models[0])
-        res = solve_model(inst, m, kind, budget)
+        subset = _model_subset(inst, m, models[0], budget)
         mode = HistogramMode.NORMALIZED10 if args.histmode == "normalized10" \
             else HistogramMode.INTEGER_BARS
-        hist = histogram([(inst, res.solution)], mode)
+        hist = histogram([(inst, subset)], mode)
         text = histogram_svg(hist, title=f"{inst.name} {models[0]}")
     _atomic_write(Path(args.out), text)
     print(f"wrote {args.out}")
@@ -306,9 +304,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     family = Family.from_string(args.family)
     models = _split_models(args.models, _ANALYZE_MODELS)
-    budget = SolverBudget(max_nodes=args.max_nodes,
-                          time_limit=args.time_limit,
-                          max_subsets=args.max_subsets)
+    budget = _budget_from(args)
     out = Path(args.out)
     set_name = f"{family.value}_n{args.n}_m{args.m}"
     jobs = []

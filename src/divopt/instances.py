@@ -46,7 +46,7 @@ class FormatError(ValueError):
     """Raised when an instance file does not follow the canonical format."""
 
 
-# Family default parameter ranges (used by GeneratorSpec when not overridden).
+# Fixed parameters of the generated families.
 _COORD_RANGE = {Family.GKD: (0.0, 10.0), Family.GKD_D: (0.0, 100.0)}
 _VALUE_RANGE = {Family.SOM: (0, 9), Family.MDG: (0.0, 10.0)}
 _GKD_DIM_RANGE = (2, 21)
@@ -218,16 +218,14 @@ def _euclidean(coords: np.ndarray, round_5dp: bool, name: str, family: Family,
     return instance
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters that fully determine one generated instance.
 
-    Ranges default per family and may be overridden.  ``dim``,
-    ``coord_range`` and ``round_5dp`` belong to the Euclidean families: GKD
-    draws ``dim`` uniformly from 2..21 when unset, GKD_D fixes it at 2, and
-    ``round_5dp`` defaults to True for GKD and False elsewhere.
-    ``value_range`` belongs to SOM and MDG.  A setting given to a family
-    that would ignore it raises ``ValueError``.
+    Each family's value range, coordinate box and rounding are fixed (see
+    the module docstring).  ``dim`` belongs to the Euclidean families: GKD
+    draws it uniformly from 2..21 when unset, and GKD_D fixes it at 2.
+    Giving ``dim`` to SOM or MDG raises ``ValueError``.
     """
 
     family: Family
@@ -235,22 +233,12 @@ class GeneratorSpec:
     m: int
     seed: int = 0
     dim: Optional[int] = None
-    coord_range: Optional[tuple[float, float]] = None
-    value_range: Optional[tuple[float, float]] = None
-    round_5dp: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.family == Family.CUSTOM:
             raise ValueError("cannot generate the CUSTOM family")
-        if self.family in _COORD_RANGE:
-            given = {"value_range": self.value_range}
-        else:
-            given = {"dim": self.dim, "coord_range": self.coord_range,
-                     "round_5dp": self.round_5dp or None}
-        ignored = [name for name, value in given.items() if value is not None]
-        if ignored:
-            raise ValueError(f"{', '.join(ignored)} not used by the "
-                             f"{self.family.value} family")
+        if self.dim is not None and self.family not in _COORD_RANGE:
+            raise ValueError(f"dim not used by the {self.family.value} family")
         if self.n < 2:
             raise ValueError(f"n={self.n} too small")
         if not (2 <= self.m < self.n):
@@ -261,12 +249,6 @@ class GeneratorSpec:
             raise ValueError("GKD_D dimension is fixed at 2")
         if self.dim is not None and self.dim < 1:
             raise ValueError(f"dim={self.dim} invalid")
-        if self.coord_range is None:
-            self.coord_range = _COORD_RANGE.get(self.family)
-        if self.value_range is None:
-            self.value_range = _VALUE_RANGE.get(self.family)
-        if self.round_5dp is None:
-            self.round_5dp = self.family == Family.GKD
 
     @property
     def instance_name(self) -> str:
@@ -283,11 +265,11 @@ def generate(spec: GeneratorSpec) -> Instance:
     """
     stream = CounterStream(spec.seed)
     n = spec.n
-    if spec.family in (Family.SOM, Family.MDG):
-        lo, hi = spec.value_range
+    if spec.family in _VALUE_RANGE:
+        lo, hi = _VALUE_RANGE[spec.family]
         pairs = n * (n - 1) // 2
         if spec.family == Family.SOM:
-            values = stream.randints(int(lo), int(hi), pairs)
+            values = stream.randints(lo, hi, pairs)
         else:
             values = lo + stream.uniforms(pairs) * (hi - lo)
         d = np.zeros((n, n), dtype=np.float64)
@@ -296,14 +278,14 @@ def generate(spec: GeneratorSpec) -> Instance:
         d.T[iu] = values
         return Instance(spec.instance_name, spec.family, d, default_m=spec.m)
     # Euclidean families
-    if spec.family == Family.GKD:
-        dim = spec.dim if spec.dim is not None else stream.randint(*_GKD_DIM_RANGE)
-    else:
-        dim = 2
-    lo, hi = spec.coord_range
+    dim = spec.dim
+    if dim is None:
+        dim = (int(stream.randints(*_GKD_DIM_RANGE, 1)[0])
+               if spec.family == Family.GKD else 2)
+    lo, hi = _COORD_RANGE[spec.family]
     coords = (lo + stream.uniforms(n * dim) * (hi - lo)).reshape(n, dim)
-    return _euclidean(coords, spec.round_5dp, spec.instance_name, spec.family,
-                      spec.m)
+    return _euclidean(coords, spec.family == Family.GKD, spec.instance_name,
+                      spec.family, spec.m)
 
 
 def truncate(instance: Instance, k: int, *, default_m: Optional[int] = None) -> Instance:

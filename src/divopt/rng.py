@@ -8,9 +8,9 @@ splitmix64 finalizer: output k is ``mix(key + (k + 1) * GOLDEN)`` where
 
 Because output k depends only on (key, k), a block of ``count`` draws is one
 numpy uint64 expression over the counters k+1..k+count; array arithmetic
-wraps modulo 2**64, which is exactly the finalizer's arithmetic.  Scalar draws
-are one-element blocks, so a scalar draw and the same position in a block
-give the same bits.
+wraps modulo 2**64, which is exactly the finalizer's arithmetic.  Blocks are
+the only draw path: a single value is a one-element block, and a draw of
+``count`` values advances the counter by ``count``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ def _mix(x: np.ndarray) -> np.ndarray:
     x *= _MUL2
     x ^= x >> np.uint64(31)
     return x
-
-
-def _span(lo: int, hi: int) -> int:
-    span = hi - lo + 1
-    if span <= 0:
-        raise ValueError(f"empty integer range [{lo}, {hi}]")
-    return span
 
 
 class CounterStream:
@@ -66,33 +59,15 @@ class CounterStream:
         top = self._words(count) >> np.uint64(11)
         return top.astype(np.float64) * 2.0**-53
 
-    def next_u64(self) -> int:
-        return int(self._words(1)[0])
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53-bit resolution."""
-        return float(self.uniforms(1)[0])
-
-    def uniform_in(self, lo: float, hi: float) -> float:
-        """Uniform double in [lo, hi)."""
-        return lo + self.uniform() * (hi - lo)
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi].
-
-        Derived from a 53-bit uniform; the scaling bias is below 2**-53 per
-        value, which is irrelevant for benchmark data but keeps the draw a
-        single word, making streams easy to reason about.
-        """
-        span = _span(lo, hi)
-        return lo + int(self.uniform() * span)
-
     def randints(self, lo: int, hi: int, count: int) -> np.ndarray:
         """The next ``count`` uniform integers in [lo, hi], as float64.
 
         Each is ``lo + trunc(u * span)`` in float64 for one 53-bit uniform u,
-        which equals :meth:`randint` at the same position while ``lo`` and
-        ``hi`` lie within +-2**53.
+        exact while ``lo`` and ``hi`` lie within +-2**53.  The scaling bias
+        is below 2**-53 per value, which is irrelevant for benchmark data and
+        keeps each draw a single word.
         """
-        span = _span(lo, hi)
+        span = hi - lo + 1
+        if span <= 0:
+            raise ValueError(f"empty integer range [{lo}, {hi}]")
         return lo + np.trunc(self.uniforms(count) * span)

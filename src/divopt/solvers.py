@@ -522,7 +522,6 @@ def solve_maxmin_improved(instance: Instance, m: int,
         else:
             hi = mid
     stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=solves,
-                        wall_time=time.perf_counter() - start,
                         trace=tuple(trace))
     status = SolveStatus.FEASIBLE if exhausted else SolveStatus.OPTIMAL
     result = _maxmin_result(instance, m, status, witness, stats)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from divopt import (Family, GeneratorSpec, enumerate_maxmin_optima,
-                    generate, write_instance)
+from divopt import (Family, GeneratorSpec, HistogramMode, ObjectiveKind,
+                    enumerate_maxmin_optima, generate, histogram,
+                    solve_bilevel, write_instance)
 from divopt.cli import main
+from divopt.plots import histogram_svg
 
 
 @pytest.fixture
@@ -242,6 +244,17 @@ def test_plot_histogram(t4_file, tmp_path, capsys):
                   "integer_bars", "--out", str(fig))
     assert code == 0
     ET.fromstring(fig.read_text(encoding="utf-8"))
+
+
+def test_plot_histogram_of_bilevel_model(t4, t4_file, tmp_path, capsys):
+    fig = tmp_path / "h.svg"
+    code, _ = run(capsys, "plot", t4_file, "--style", "histogram",
+                  "--models", "bilevel-maxsum", "--m", "3", "--out", str(fig))
+    assert code == 0
+    chosen = solve_bilevel(t4, 3, ObjectiveKind.MAXSUM).chosen
+    hist = histogram([(t4, chosen)], HistogramMode.NORMALIZED10)
+    assert fig.read_text(encoding="utf-8") == \
+        histogram_svg(hist, title="t4 bilevel-maxsum")
 
 
 def test_bench_outputs(tmp_path, capsys):
