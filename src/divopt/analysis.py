@@ -19,7 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .instances import Instance
-from .objectives import ObjectiveKind, Sense, Solution, evaluate
+from .objectives import (ObjectiveKind, Sense, Solution, _pair_distances,
+                         evaluate)
 from .solvers import (DEFAULT_OPTIMA_CAP, SolveStatus, SolverBudget,
                       enumerate_maxmin_optima, solve_model)
 
@@ -128,12 +129,6 @@ class DistanceHistogram:
     d_max_used: Optional[float]
 
 
-def _pair_values(instance: Instance, solution: Solution) -> np.ndarray:
-    idx = np.asarray(solution.nodes, dtype=np.intp)
-    sub = instance.distances[np.ix_(idx, idx)]
-    return sub[np.triu_indices(len(idx), 1)]
-
-
 def histogram(pairs: Sequence[tuple[Instance, Solution]],
               mode: HistogramMode) -> DistanceHistogram:
     """Bin the pooled C(m,2) pairwise distances of each solution.
@@ -149,7 +144,7 @@ def histogram(pairs: Sequence[tuple[Instance, Solution]],
     for instance, solution in pairs:
         if len(solution) < 2:
             raise ValueError("histogram pooling needs solutions of size >= 2")
-        values = _pair_values(instance, solution)
+        values = _pair_distances(instance, solution)
         if mode is HistogramMode.NORMALIZED10:
             d_max = instance.d_max
             if d_max <= 0:
@@ -187,8 +182,7 @@ def geometry_stats(instance: Instance, solution: Solution) -> GeometryStats:
     """
     if len(solution) < 2:
         raise ValueError("geometry stats need at least 2 selected nodes")
-    solution.validate_for(instance)
-    inner = _pair_values(instance, solution)
+    inner = _pair_distances(instance, solution)
     idx = np.asarray(solution.nodes, dtype=np.intp)
     outside = np.ones(instance.n, dtype=bool)  # np.setdiff1d imports numpy.ma
     outside[idx] = False

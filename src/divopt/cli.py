@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .analysis import (BenchJob, HistogramMode, PairedObjectives, _csv,
                        benchmark_csv, benchmark_summary, cross_model_csv,
@@ -27,8 +27,9 @@ from .instances import (Family, FormatError, GeneratorSpec, Instance,
 from .milp import FormulationKind, emit, verify_external
 from .objectives import ObjectiveKind, Solution, evaluate
 from .plots import histogram_svg, scatter_svg
-from .solvers import (DEFAULT_OPTIMA_CAP, BudgetExceededError, SolveStatus,
-                      SolverBudget, solve_bilevel, solve_model)
+from .solvers import (DEFAULT_OPTIMA_CAP, BiLevelResult, BudgetExceededError,
+                      SolveResult, SolveStatus, SolverBudget, solve_bilevel,
+                      solve_model)
 
 _MODEL_CHOICES = ("maxsum", "maxmin", "maxminsum", "mindiff", "maxmean",
                   "bilevel-maxsum", "bilevel-maxminsum")
@@ -71,14 +72,9 @@ def _parse_subset(text: str, n: int) -> Solution:
     return Solution(v - 1 for v in labels)
 
 
-def _budget_from(args: argparse.Namespace) -> Optional[SolverBudget]:
-    fields = dict(max_subsets=getattr(args, "max_subsets", None),
-                  max_nodes=getattr(args, "max_nodes", None),
-                  time_limit=getattr(args, "time_limit", None),
-                  q=getattr(args, "q", None))
-    if all(v is None for v in fields.values()):
-        return None
-    return SolverBudget(**fields)
+def _budget_from(args: argparse.Namespace) -> SolverBudget:
+    return SolverBudget(max_subsets=args.max_subsets,
+                        max_nodes=args.max_nodes, time_limit=args.time_limit)
 
 
 def _split_models(text: str, allowed: Sequence[str]) -> list[str]:
@@ -123,16 +119,27 @@ def _print_solve_result(model_name: str, res) -> None:
         print(f"decision_solves {res.stats.decision_solves}")
 
 
+def _solve_named(inst: Instance, name: str, m: Optional[int],
+                 budget: SolverBudget, *, method: str = "improved",
+                 mode: str = "enumerate", cap: int = DEFAULT_OPTIMA_CAP,
+                 ) -> Union[SolveResult, BiLevelResult]:
+    """Solve model ``name``: bi-level names with solve_bilevel, the rest
+    with solve_model.  Only MaxMean may leave the subset size m unset."""
+    bilevel = name.startswith("bilevel-")
+    kind = ObjectiveKind.from_string(name.split("-", 1)[1] if bilevel else name)
+    if m is None and (bilevel or kind is not ObjectiveKind.MAXMEAN):
+        raise ValueError("subset size m required (flag --m or file header)")
+    if bilevel:
+        return solve_bilevel(inst, m, kind, cap=cap, budget=budget, mode=mode)
+    return solve_model(inst, m, kind, budget, maxmin_method=method)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    budget = _budget_from(args)
     m = args.m if args.m is not None else inst.default_m
-    if args.model.startswith("bilevel-"):
-        if m is None:
-            raise ValueError("subset size m required (flag --m or file header)")
-        upper = ObjectiveKind.from_string(args.model.split("-", 1)[1])
-        res = solve_bilevel(inst, m, upper, cap=args.cap, budget=budget,
-                            mode=args.mode)
+    res = _solve_named(inst, args.model, m, _budget_from(args),
+                       method=args.method, mode=args.mode, cap=args.cap)
+    if isinstance(res, BiLevelResult):
         # a truncated enumeration picks among only some MaxMin optima
         status = SolveStatus.FEASIBLE if res.truncated else SolveStatus.OPTIMAL
         print(f"model {args.model}")
@@ -143,10 +150,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"value {_value_str(res.upper_value)}")
         print(f"subset {_subset_str(res.chosen)}")
         return 2 if args.strict and res.truncated else 0
-    kind = ObjectiveKind.from_string(args.model)
-    if kind is not ObjectiveKind.MAXMEAN and m is None:
-        raise ValueError("subset size m required (flag --m or file header)")
-    res = solve_model(inst, m, kind, budget, maxmin_method=args.method)
     _print_solve_result(args.model, res)
     if args.strict and res.status is not SolveStatus.OPTIMAL:
         return 2
@@ -269,15 +272,17 @@ def _pairing_from_results(inst, primary_res, secondary_res):
 
 
 def _model_subset(inst: Instance, m: Optional[int], name: str,
-                  budget: Optional[SolverBudget]) -> Optional[Solution]:
-    """The subset that model ``name`` selects, bi-level models included."""
-    if m is None:
-        raise ValueError("subset size m required (flag --m or header)")
-    if name.startswith("bilevel-"):
-        upper = ObjectiveKind.from_string(name.split("-", 1)[1])
-        return solve_bilevel(inst, m, upper, budget=budget).chosen
-    kind = ObjectiveKind.from_string(name)
-    return solve_model(inst, m, kind, budget).solution
+                  budget: SolverBudget) -> Solution:
+    """The subset that model ``name`` selects, bi-level models included.
+
+    Raises BudgetExceededError when the budget stops the solve before it
+    has a subset.
+    """
+    res = _solve_named(inst, name, m, budget)
+    subset = res.chosen if isinstance(res, BiLevelResult) else res.solution
+    if subset is None:
+        raise BudgetExceededError(f"{name} found no subset within the budget")
+    return subset
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -351,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search-node budget per solve")
     budget.add_argument("--max-subsets", type=int, default=None,
                         help="subset budget for brute-force solves")
-    budget.add_argument("--q", type=int, default=None,
-                        help="subinterval exponent for the bisection method")
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict", action="store_true",
                         help="exit 2 when any solve is not proven optimal")

@@ -332,25 +332,12 @@ def write_instance(instance: Instance) -> str:
 def parse_instance(text: str, *, name: str = "parsed",
                    family: Family = Family.CUSTOM) -> Instance:
     """Parse the canonical format; strict about completeness and symmetry."""
-    lines = text.splitlines()
-    pos = 0
-
-    def next_content_line() -> Optional[str]:
-        nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            stripped = raw.strip()
-            if stripped == _COORDS_SENTINEL:
-                return stripped
-            if not stripped or stripped.startswith("#"):
-                continue
-            return stripped
-        return None
-
-    header = next_content_line()
-    if header is None:
+    # stripped content lines: blanks and comments dropped, the sentinel kept
+    lines = [s for s in (raw.strip() for raw in text.splitlines())
+             if s == _COORDS_SENTINEL or (s and not s.startswith("#"))]
+    if not lines:
         raise FormatError("empty instance file")
+    header = lines[0]
     parts = header.split()
     if len(parts) != 2:
         raise FormatError(f"malformed header {header!r}; expected 'n m'")
@@ -366,12 +353,8 @@ def parse_instance(text: str, *, name: str = "parsed",
     d = np.zeros((n, n), dtype=np.float64)
     seen = np.zeros((n, n), dtype=bool)
     expected = n * (n - 1) // 2
-    count = 0
-    coords_follow = False
-    while count < expected:
-        line = next_content_line()
-        if line is None:
-            raise FormatError(f"missing entries: got {count} of {expected} pairs")
+    pair_lines = lines[1:1 + expected]
+    for line in pair_lines:
         if line == _COORDS_SENTINEL:
             raise FormatError(f"coords section before all {expected} pairs were read")
         parts = line.split()
@@ -396,21 +379,18 @@ def parse_instance(text: str, *, name: str = "parsed",
                 f"symmetric pairs must appear exactly once")
         seen[a, b] = True
         d[a, b] = d[b, a] = value
-        count += 1
+    if len(pair_lines) < expected:
+        raise FormatError(
+            f"missing entries: got {len(pair_lines)} of {expected} pairs")
 
     coords = None
-    line = next_content_line()
-    if line == _COORDS_SENTINEL:
-        coords_follow = True
-    elif line is not None:
-        raise FormatError(f"unexpected trailing line {line!r}")
-    if coords_follow:
+    tail = lines[1 + expected:]
+    if tail and tail[0] != _COORDS_SENTINEL:
+        raise FormatError(f"unexpected trailing line {tail[0]!r}")
+    if tail:
         rows = []
         dim = None
-        for _ in range(n):
-            line = next_content_line()
-            if line is None:
-                raise FormatError(f"coords section has {len(rows)} of {n} rows")
+        for line in tail[1:n + 1]:
             parts = line.split()
             try:
                 row = [float(x) for x in parts]
@@ -423,7 +403,9 @@ def parse_instance(text: str, *, name: str = "parsed",
             elif len(row) != dim:
                 raise FormatError(f"coordinate dimension mismatch in {line!r}")
             rows.append(row)
-        if next_content_line() is not None:
+        if len(rows) < n:
+            raise FormatError(f"coords section has {len(rows)} of {n} rows")
+        if len(tail) > n + 1:
             raise FormatError("unexpected content after coordinates")
         coords = np.array(rows, dtype=np.float64)
 

@@ -361,12 +361,14 @@ class ExternalCheck:
     violations: tuple[str, ...]
 
 
-def parse_solution_vector(text: str, n: int, tolerance: float = 1e-6,
-                          ) -> tuple[int, ...]:
+_BINARY_TOL = 1e-6  # how far an external x value may sit from 0 or 1
+
+
+def parse_solution_vector(text: str, n: int) -> tuple[int, ...]:
     """Read `x_<i> <value>` lines into a 0-based selected-index tuple.
 
     Unlisted variables default to 0; non-x lines (y/w/s/t/r values) are
-    ignored.  Values must be within tolerance of 0 or 1.
+    ignored.  Values must be within ``_BINARY_TOL`` of 0 or 1.
     """
     seen: dict[int, int] = {}
     for raw in text.splitlines():
@@ -388,9 +390,9 @@ def parse_solution_vector(text: str, n: int, tolerance: float = 1e-6,
         if idx in seen:
             raise ValueError(f"duplicate assignment for {name}")
         value = float(parts[1])
-        if abs(value) <= tolerance:
+        if abs(value) <= _BINARY_TOL:
             seen[idx] = 0
-        elif abs(value - 1.0) <= tolerance:
+        elif abs(value - 1.0) <= _BINARY_TOL:
             seen[idx] = 1
         else:
             raise ValueError(f"non-binary value {parts[1]} for {name}")
@@ -399,14 +401,13 @@ def parse_solution_vector(text: str, n: int, tolerance: float = 1e-6,
 
 def verify_external(instance: Instance, kind: FormulationKind,
                     m: Optional[int], solution_text: str,
-                    l: Optional[float] = None,
-                    tolerance: float = 1e-6) -> ExternalCheck:
+                    l: Optional[float] = None) -> ExternalCheck:
     """Check an external solution: cardinality, conflicts, native value.
 
     Model kinds re-evaluate the matching objective; threshold kinds check
     the conflict rows of G(l) and report the packing size as the value.
     """
-    selected = parse_solution_vector(solution_text, instance.n, tolerance)
+    selected = parse_solution_vector(solution_text, instance.n)
     if kind.needs_m:
         if m is None:
             raise ValueError(f"{kind.value} requires m for verification")

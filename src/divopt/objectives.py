@@ -89,18 +89,18 @@ def _check_pairwise(instance: Instance, solution: Solution) -> np.ndarray:
     return np.asarray(solution.nodes, dtype=np.intp)
 
 
-def eval_maxsum(instance: Instance, solution: Solution) -> float:
+def _pair_distances(instance: Instance, solution: Solution) -> np.ndarray:
+    """The C(m, 2) distances inside ``solution``, row by row above the diagonal."""
     idx = _check_pairwise(instance, solution)
-    sub = instance.distances[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), 1)
-    return float(sub[iu].sum())
+    return instance.distances[np.ix_(idx, idx)][np.triu_indices(len(idx), 1)]
+
+
+def eval_maxsum(instance: Instance, solution: Solution) -> float:
+    return float(_pair_distances(instance, solution).sum())
 
 
 def eval_maxmin(instance: Instance, solution: Solution) -> float:
-    idx = _check_pairwise(instance, solution)
-    sub = instance.distances[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), 1)
-    return float(sub[iu].min())
+    return float(_pair_distances(instance, solution).min())
 
 
 def contribution_vector(instance: Instance, solution: Solution) -> np.ndarray:

@@ -47,6 +47,9 @@ _BLOCK_ROWS = 4096
 # minimum gap would otherwise demand an absurd number of steps.
 MAX_SUBINTERVAL_EXPONENT = 60
 
+# enumerate_optima counts a sum-type subset optimal within this relative gap
+_OPTIMA_REL_TOL = 1e-9
+
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
@@ -84,19 +87,18 @@ class SolverBudget:
     """Limits for one solver call; None means unlimited.
 
     ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
-    backtracking searches, ``q`` overrides the bisection method's
-    subinterval exponent.  The subset walk (MaxSum branch and bound, exact
-    bi-level, MaxMin enumeration) counts only visited nodes: a branch with
-    too few candidates left is skipped unvisited and costs no node.
+    backtracking searches and ``time_limit`` the wall clock (seconds).
+    The subset walk (MaxSum branch and bound, exact bi-level, MaxMin
+    enumeration) counts only visited nodes: a branch with too few
+    candidates left is skipped unvisited and costs no node.
     """
 
     max_subsets: Optional[int] = None
     max_nodes: Optional[int] = None
     time_limit: Optional[float] = None
-    q: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_subsets", "max_nodes", "time_limit", "q"):
+        for name in ("max_subsets", "max_nodes", "time_limit"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"budget field {name} must be positive, got {v}")
@@ -569,8 +571,7 @@ def solve_maxmin_original(instance: Instance, m: int,
         # flat spectrum: every m-subset scores d_min
         stats = SearchStats(wall_time=time.perf_counter() - start, q_used=None)
         return _maxmin_result(instance, m, SolveStatus.OPTIMAL, None, stats)
-    q = budget.q if budget.q is not None else default_subinterval_exponent(instance)
-    q = min(q, MAX_SUBINTERVAL_EXPONENT)
+    q = default_subinterval_exponent(instance)
     lo = st.d_min
     hi = st.d_max + gap  # strictly above the optimum by construction
     witness: Optional[Solution] = None
@@ -824,13 +825,13 @@ def _score_plain(D: list[list[float]], combo: tuple[int, ...],
 
 
 def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
-                     cap: int = DEFAULT_OPTIMA_CAP, tolerance: float = 1e-9,
+                     cap: int = DEFAULT_OPTIMA_CAP,
                      budget: Optional[SolverBudget] = None) -> OptimaEnumeration:
     """All optimal subsets of one model, lexicographic, up to cap.
 
-    Sum-type values match the optimum within relative tolerance; MaxMin
-    matches exactly (delegated to the threshold enumeration, which scales
-    past brute force).
+    Sum-type values match the optimum within relative tolerance
+    ``_OPTIMA_REL_TOL``; MaxMin matches exactly (delegated to the
+    threshold enumeration, which scales past brute force).
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
@@ -843,7 +844,7 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     if base.status is not SolveStatus.OPTIMAL:
         raise BudgetExceededError("optimum not proven within time budget")
     opt = base.value
-    tol = tolerance * max(1.0, abs(opt))
+    tol = _OPTIMA_REL_TOL * max(1.0, abs(opt))
     sizes, _ = _subset_sizes(instance, m, kind)
     found: list[Solution] = []
     for block in _combination_blocks(instance.n, sizes):

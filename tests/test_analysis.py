@@ -112,6 +112,11 @@ def test_histogram_empty_rejected():
         histogram([], HistogramMode.NORMALIZED10)
 
 
+def test_histogram_rejects_out_of_range_node(t4):
+    with pytest.raises(ValueError, match="out of range"):
+        histogram([(t4, Solution([1, 4]))], HistogramMode.NORMALIZED10)
+
+
 def test_histogram_csv_labels(t4):
     h = histogram([(t4, Solution([1, 2, 3]))], HistogramMode.NORMALIZED10)
     text = histogram_csv(h)

@@ -11,7 +11,7 @@ import pytest
 
 from divopt import (Family, GeneratorSpec, HistogramMode, ObjectiveKind,
                     enumerate_maxmin_optima, generate, histogram,
-                    solve_bilevel, write_instance)
+                    solve_bilevel, solve_model, write_instance)
 from divopt.cli import main
 from divopt.plots import histogram_svg
 
@@ -255,6 +255,30 @@ def test_plot_histogram_of_bilevel_model(t4, t4_file, tmp_path, capsys):
     hist = histogram([(t4, chosen)], HistogramMode.NORMALIZED10)
     assert fig.read_text(encoding="utf-8") == \
         histogram_svg(hist, title="t4 bilevel-maxsum")
+
+
+def test_plot_maxmean_needs_no_m(t4, t4_file, tmp_path, capsys):
+    fig = tmp_path / "h.svg"
+    code, _ = run(capsys, "plot", t4_file, "--style", "histogram",
+                  "--models", "maxmean", "--out", str(fig))
+    assert code == 0
+    chosen = solve_model(t4, None, ObjectiveKind.MAXMEAN).solution
+    hist = histogram([(t4, chosen)], HistogramMode.NORMALIZED10)
+    assert fig.read_text(encoding="utf-8") == \
+        histogram_svg(hist, title="t4 maxmean")
+
+
+@pytest.mark.parametrize("style", ["scatter", "histogram"])
+def test_plot_budget_stop_draws_nothing(style, tmp_path, capsys):
+    inst = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=3))
+    path = tmp_path / "inst.txt"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    fig = tmp_path / "stopped.svg"
+    code = main(["plot", str(path), "--style", style, "--models", "maxsum",
+                 "--max-nodes", "1", "--out", str(fig)])
+    assert code == 0
+    assert "budget exhausted" in capsys.readouterr().err
+    assert not fig.exists()
 
 
 def test_bench_outputs(tmp_path, capsys):

@@ -161,15 +161,6 @@ def test_original_q_cap_degrades_to_feasible():
     assert res.value == 1e-300  # incumbent still evaluates to the true optimum
 
 
-def test_explicit_q_budget(t4):
-    res = solve_maxmin_original(t4, 3, SolverBudget(q=2))
-    # 2 halvings cannot isolate one value out of six, incumbent returned
-    assert res.stats.q_used == 2
-    assert res.stats.decision_solves <= 3
-    assert res.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-    assert res.value is not None
-
-
 def test_methods_agree(t4, unit_square):
     for inst, m in ((t4, 2), (t4, 3), (t4, 4), (unit_square, 2),
                     (unit_square, 3)):
