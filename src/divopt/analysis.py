@@ -265,23 +265,20 @@ def benchmark_summary(jobs: Sequence[BenchJob]) -> list[BenchRow]:
     """Roll jobs up per (set, model): solved counts and deviation from best.
 
     The best-known value per instance and model is the sense-aware best
-    over all job incumbents.  Proven-optimal jobs contribute deviation 0;
-    jobs without an incumbent (or with a zero best on a minimization) are
-    excluded from the average.
+    over all job incumbents.  Proven-optimal jobs contribute deviation 0.
+    A job that is not proven optimal is measured only when another job on
+    the same instance and model has an incumbent: alone, its own value
+    would be its reference and its deviation 0 by construction.  Jobs
+    without such a reference, without an incumbent, or with a zero best are
+    excluded from the average, which is None (NA) when no job is left.
     """
     if not jobs:
         raise ValueError("benchmark summary needs at least one job")
-    best: dict[tuple[str, ObjectiveKind], float] = {}
+    incumbents: dict[tuple[str, ObjectiveKind], list[float]] = {}
     for job in jobs:
-        if job.value is None:
-            continue
-        key = (job.instance_name, job.kind)
-        if key not in best:
-            best[key] = job.value
-        elif job.kind.sense is Sense.MAX:
-            best[key] = max(best[key], job.value)
-        else:
-            best[key] = min(best[key], job.value)
+        if job.value is not None:
+            incumbents.setdefault((job.instance_name, job.kind),
+                                  []).append(job.value)
 
     grouped: dict[tuple[str, str], list[BenchJob]] = {}
     for job in jobs:
@@ -295,8 +292,11 @@ def benchmark_summary(jobs: Sequence[BenchJob]) -> list[BenchRow]:
             if job.status is SolveStatus.OPTIMAL:
                 devs.append(0.0)
                 continue
-            ref = best.get((job.instance_name, job.kind))
-            if job.value is None or ref is None or ref == 0:
+            values = incumbents.get((job.instance_name, job.kind), [])
+            if job.value is None or len(values) < 2:
+                continue  # no incumbent, or none but its own
+            ref = max(values) if job.kind.sense is Sense.MAX else min(values)
+            if ref == 0:
                 continue
             if job.kind.sense is Sense.MAX:
                 devs.append(deviation_pct(ref, job.value))

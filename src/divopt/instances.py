@@ -61,6 +61,12 @@ class Instance:
     float64 array whose pairwise Euclidean distances reproduce ``distances``
     (either within 1e-9 relative tolerance or exactly after rounding to five
     decimals, covering the rounded GKD convention).
+
+    Two facts of the distances are cached on the instance: the spectrum
+    (``spectrum_stats``) and, per subset size m, the proven MaxMin optimum
+    that the bi-level solver and MaxMin enumeration reuse.  Neither is an
+    init field, so ``dataclasses.replace`` and ``truncate`` start with empty
+    caches; editing ``distances`` in place is unsupported.
     """
 
     name: str
@@ -68,7 +74,11 @@ class Instance:
     distances: np.ndarray
     coords: Optional[np.ndarray] = None
     default_m: Optional[int] = None
-    _spectrum: Optional["SpectrumStats"] = field(default=None, repr=False, compare=False)
+    _spectrum: Optional["SpectrumStats"] = field(default=None, init=False,
+                                                 repr=False, compare=False)
+    # m -> proven MaxMin optimum, written by the exact MaxMin solvers
+    _maxmin: dict[int, float] = field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.ascontiguousarray(np.asarray(self.distances, dtype=np.float64))

@@ -17,6 +17,9 @@ subsets, either by enumerating those optima up to a cap or by an exact
 search over independent sets at the MaxMin optimum.  MaxSum branch and
 bound, the exact bi-level search and MaxMin enumeration all run on one
 lexicographic subset walker, _walk_subsets, with a pluggable prune.
+Both MaxMin methods cache each optimum they prove on the instance; the
+bi-level solver and MaxMin enumeration read d* from there, while the
+MaxMin methods themselves always search.
 
 All searches are deterministic; ties break to the lexicographically
 smallest index tuple.
@@ -481,8 +484,24 @@ def _maxmin_result(instance: Instance, m: int, status: SolveStatus,
     # least d_min, and exactly d_min when that is the optimum
     if witness is None:
         witness = Solution(range(m))
-    return SolveResult(ObjectiveKind.MAXMIN, status, witness,
-                       eval_maxmin(instance, witness), stats)
+    value = eval_maxmin(instance, witness)
+    if status is SolveStatus.OPTIMAL:
+        instance._maxmin[m] = value  # read back by _maxmin_optimum only
+    return SolveResult(ObjectiveKind.MAXMIN, status, witness, value, stats)
+
+
+def _maxmin_optimum(instance: Instance, m: int, budget: SolverBudget) -> float:
+    """The MaxMin optimum d* of (instance, m): the cached proven value, or
+    one solve_maxmin_improved call, which caches it.  A cache hit charges
+    nothing to the budget.  Raises BudgetExceededError when the solve stops
+    before it proves the optimum."""
+    d_star = instance._maxmin.get(m)
+    if d_star is None:
+        base = solve_maxmin_improved(instance, m, budget)
+        if base.status is not SolveStatus.OPTIMAL:
+            raise BudgetExceededError("MaxMin optimum not proven within budget")
+        d_star = base.value
+    return d_star
 
 
 def solve_maxmin_improved(instance: Instance, m: int,
@@ -626,7 +645,10 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
 
     They are exactly the size-m independent sets of G(z*), generated in
     lexicographic order.  ``truncated`` reports that more exist beyond the
-    cap.  Raises BudgetExceededError when limits cut the search short.
+    cap.  With ``z_star=None`` the optimum is the one an exact MaxMin solve
+    of (instance, m) proved and cached on the instance; only when none is
+    cached does it cost one solve_maxmin_improved call.  Raises
+    BudgetExceededError when limits cut the search short.
     """
     if m is None:
         raise ValueError("maxmin enumeration requires a subset size m")
@@ -636,10 +658,7 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
     if z_star is None:
-        base = solve_maxmin_improved(instance, m, budget)
-        if base.status != SolveStatus.OPTIMAL:
-            raise BudgetExceededError("MaxMin optimum not proven within budget")
-        z_star = base.value
+        z_star = _maxmin_optimum(instance, m, budget)
     graph = build_threshold_graph(instance, z_star)
     found: list[Solution] = []
 
@@ -1018,7 +1037,10 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     mode="enumerate" collects MaxMin optima up to cap and picks the best
     under the upper objective (heuristic when truncated).  mode="exact"
     searches all independent sets of G(d*) directly with bound pruning, so
-    the answer is exact no matter how many optima exist.
+    the answer is exact no matter how many optima exist.  The lower-level
+    optimum d* is solved once per (instance, m) and cached on the instance,
+    so later bi-level calls in either mode, and MaxMin enumeration, reuse
+    it without charging the budget.
     """
     if upper_kind not in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM):
         raise ValueError(f"upper objective must be maxsum or maxminsum, "
@@ -1028,10 +1050,7 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     _validate_m(instance, m)
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    base = solve_maxmin_improved(instance, m, budget)
-    if base.status != SolveStatus.OPTIMAL:
-        raise BudgetExceededError("lower-level MaxMin not solved within budget")
-    d_star = base.value
+    d_star = _maxmin_optimum(instance, m, budget)
 
     if mode == "enumerate":
         remaining = _remaining_budget(budget, start)

@@ -294,6 +294,21 @@ def test_bench_outputs(tmp_path, capsys):
     assert all(line.endswith(",0") for line in summary[1:])  # all optimal
 
 
+def test_bench_budget_stopped_jobs_have_no_deviation(tmp_path, capsys):
+    # one job per (instance, model) and none proven optimal: no job has a
+    # reference but its own value, so the deviation is NA, not 0
+    out = tmp_path / "bench"
+    code, _ = run(capsys, "bench", "--family", "mdg", "--n", "30", "--m", "6",
+                  "--count", "2", "--models", "maxsum,maxmin",
+                  "--max-nodes", "20", "--out", str(out))
+    assert code == 0
+    results = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(results) == 4
+    assert all(line.split(",")[3] == "feasible" for line in results)
+    summary = (out / "summary.csv").read_text().splitlines()[1:]
+    assert summary == ["mdg_n30_m6,maxmin,2,0,NA", "mdg_n30_m6,maxsum,2,0,NA"]
+
+
 def test_exit_codes(t4_file):
     assert main(["solve", t4_file, "--model", "bogus"]) == 1
     assert main(["solve", "/does/not/exist.txt", "--model", "maxmin",

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -1246,6 +1247,138 @@ def test_improved_budget_stops_pinned(spec, max_nodes, want):
             res.stats.subsets_or_nodes_explored, res.stats.decision_solves,
             _trace_digest(res.stats.trace)) == want
     assert res.value == eval_maxmin(inst, res.solution)
+
+
+# ---------------------------------------------------------------------------
+# the MaxMin optimum cached on the instance
+# ---------------------------------------------------------------------------
+
+def _generate(spec):
+    family, n, m, seed = spec
+    return generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+
+
+def _count_decisions(monkeypatch):
+    calls = []
+    real = solvers.feasible_subset
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "feasible_subset", counted)
+    return calls
+
+
+# the bi-level instances and runs of the model-compare benchmark workload
+BILEVEL_SPECS = [("gkd-d", 60, 8, 0), ("gkd-d", 65, 8, 1), ("gkd-d", 70, 8, 3),
+                 ("gkd-d", 80, 8, 2)]
+BILEVEL_RUNS = [(mode, upper) for mode in ("exact", "enumerate")
+                for upper in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM)]
+
+
+@pytest.mark.parametrize("spec", BILEVEL_SPECS)
+def test_bilevel_and_enumeration_reuse_the_proven_optimum(monkeypatch, spec):
+    m = spec[2]
+    want = [solve_bilevel(_generate(spec), m, upper, mode=mode)
+            for mode, upper in BILEVEL_RUNS]
+    want_enum = enumerate_maxmin_optima(_generate(spec), m)
+    calls = _count_decisions(monkeypatch)
+    inst = _generate(spec)
+    results = []
+    for mode, upper in BILEVEL_RUNS:
+        results.append(solve_bilevel(inst, m, upper, mode=mode))
+        if len(results) == 1:
+            assert calls  # the first call proves d*
+            calls.clear()
+    assert enumerate_maxmin_optima(inst, m) == want_enum
+    assert calls == []
+    assert results == want
+    assert inst._maxmin == {m: want_enum.value}
+
+
+def test_enumeration_reuses_the_public_solve(monkeypatch, t4):
+    z = solve_maxmin_improved(t4, 3).value
+    calls = _count_decisions(monkeypatch)
+    en = enumerate_maxmin_optima(t4, 3)
+    assert en.value == z and calls == []
+    # another m is another optimum: it is solved, not read
+    assert enumerate_maxmin_optima(t4, 2).value == 6.0
+    assert calls and t4._maxmin == {3: z, 2: 6.0}
+
+
+def test_cache_hit_costs_no_budget():
+    inst = _generate(("mdg", 30, 5, 3))
+    # the walk over G(d*) takes 37 nodes, one MaxMin probe 49
+    budget = SolverBudget(max_nodes=40)
+    with pytest.raises(BudgetExceededError, match="not proven"):
+        enumerate_maxmin_optima(inst, 5, budget=budget)
+    z = solve_maxmin_improved(inst, 5).value
+    en = enumerate_maxmin_optima(inst, 5, budget=budget)
+    assert en.value == z and len(en) >= 1
+
+
+def test_both_methods_record_the_same_optimum(flat3):
+    pairs = [(_generate(spec), _generate(spec), spec[2])
+             for spec in (("gkd-d", 40, 5, 1), ("mdg", 60, 6, 6),
+                          ("som", 30, 5, 2))]
+    pairs.append((flat3, dataclasses.replace(flat3), 2))  # no probe at all
+    for a, b, m in pairs:
+        improved = solve_maxmin_improved(a, m)
+        original = solve_maxmin_original(b, m)
+        assert a._maxmin == b._maxmin == {m: improved.value}
+        assert original.value == improved.value
+
+
+@pytest.mark.parametrize("spec,max_nodes", [(("gkd-d", 60, 8, 9), 100),
+                                            (("gkd-d", 60, 8, 9), 5)])
+def test_budget_stopped_maxmin_records_nothing(monkeypatch, spec, max_nodes):
+    m = spec[2]
+    inst = _generate(spec)
+    for solve in (solve_maxmin_improved, solve_maxmin_original):
+        res = solve(inst, m, SolverBudget(max_nodes=max_nodes))
+        assert res.status is SolveStatus.FEASIBLE
+        assert inst._maxmin == {}
+    # the bi-level solver then proves d* itself
+    calls = _count_decisions(monkeypatch)
+    res = solve_bilevel(inst, m, ObjectiveKind.MAXSUM)
+    assert calls and res.d_star == solve_maxmin_improved(_generate(spec), m).value
+
+
+def test_budget_stopped_lower_level_raises(t4):
+    with pytest.raises(BudgetExceededError, match="not proven"):
+        solve_bilevel(t4, 3, ObjectiveKind.MAXSUM,
+                      budget=SolverBudget(max_nodes=1))
+    assert t4._maxmin == {}
+
+
+def test_public_maxmin_solves_search_every_time():
+    inst = _generate(("mdg", 40, 5, 2))
+    for solve in (solve_maxmin_improved, solve_maxmin_original):
+        first = solve(inst, 5)
+        again = solve(inst, 5)
+        assert again.stats.subsets_or_nodes_explored \
+            == first.stats.subsets_or_nodes_explored > 0
+        assert again.stats.decision_solves == first.stats.decision_solves > 0
+        assert again.stats.trace == first.stats.trace
+        assert (again.value, again.solution) == (first.value, first.solution)
+
+
+def test_replace_and_truncate_start_with_empty_caches():
+    a = _generate(("mdg", 12, 3, 1))
+    b = _generate(("mdg", 12, 3, 2))
+    solve_maxmin_improved(a, 3)
+    assert a._spectrum is not None and a._maxmin
+    swapped = dataclasses.replace(a, distances=b.distances)
+    assert swapped._spectrum is None and swapped._maxmin == {}
+    truth = brute_force(b, 3, ObjectiveKind.MAXMIN).value
+    assert solve_maxmin_improved(swapped, 3).value == truth
+    assert solve_bilevel(swapped, 3, ObjectiveKind.MAXSUM).d_star == truth
+    head = truncate(a, 9)
+    assert head._spectrum is None and head._maxmin == {}
+    assert solve_bilevel(head, 3, ObjectiveKind.MAXSUM).d_star \
+        == brute_force(head, 3, ObjectiveKind.MAXMIN).value
 
 
 # ---------------------------------------------------------------------------
