@@ -17,23 +17,22 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .analysis import (BenchJob, HistogramMode, PairedObjectives, _csv,
-                       benchmark_csv, benchmark_summary, cross_model_csv,
-                       cross_model_report, geometry_csv, geometry_stats,
-                       histogram, histogram_csv, multiplicity_csv,
-                       multiplicity_report)
 from .instances import (Family, FormatError, GeneratorSpec, Instance,
                         generate, parse_instance, write_instance)
-from .milp import FormulationKind, emit, verify_external
 from .objectives import ObjectiveKind, Solution, evaluate
-from .plots import histogram_svg, scatter_svg
 from .solvers import (DEFAULT_OPTIMA_CAP, BiLevelResult, BudgetExceededError,
-                      SolveResult, SolveStatus, SolverBudget, solve_bilevel,
-                      solve_model)
+                      SolveResult, SolveStatus, SolverBudget,
+                      enumerate_maxmin_optima, solve_bilevel, solve_model)
+
+# analysis, milp and plots are imported by the commands that use them, so
+# solve and evaluate run on the solver core alone
 
 _MODEL_CHOICES = ("maxsum", "maxmin", "maxminsum", "mindiff", "maxmean",
                   "bilevel-maxsum", "bilevel-maxminsum")
 _ANALYZE_MODELS = ("maxsum", "maxmin", "maxminsum", "mindiff")
+# the values of milp.FormulationKind, in its order
+_LP_KINDS = ("maxsum_kuo", "maxsum_w", "maxmin_kuo", "maxminsum_tight",
+             "mindiff_tight", "node_packing", "packing_feasibility")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -90,6 +89,7 @@ def _split_models(text: str, allowed: Sequence[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .analysis import _csv
     family = Family.from_string(args.family)
     out = Path(args.out)
     rows = []
@@ -165,6 +165,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_export_lp(args: argparse.Namespace) -> int:
+    from .milp import FormulationKind, emit
     inst = _load_instance(args.instance)
     kind = FormulationKind.from_string(args.kind)
     m = args.m if args.m is not None else inst.default_m
@@ -178,6 +179,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .milp import FormulationKind, verify_external
     inst = _load_instance(args.instance)
     kind = FormulationKind.from_string(args.kind)
     solution_text = Path(args.solution).read_text(encoding="utf-8")
@@ -193,6 +195,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import (HistogramMode, _csv, cross_model_csv,
+                           cross_model_report, geometry_csv, geometry_stats,
+                           histogram, histogram_csv)
     models = _split_models(args.models, _ANALYZE_MODELS)
     if not models:
         raise ValueError("analyze needs at least one model")
@@ -252,9 +257,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _atomic_write(out / f"hist_{name}.csv", histogram_csv(hist))
 
     if "maxmin" in models:
-        summary = multiplicity_report(instances, args.m, cap=args.cap,
-                                      budget=budget)
-        _atomic_write(out / "multiplicity.csv", multiplicity_csv(summary))
+        # an instance whose enumeration the budget stops reads NA
+        counts = []
+        for inst in instances:
+            m = args.m if args.m is not None else inst.default_m
+            try:
+                enum = enumerate_maxmin_optima(inst, m, cap=args.cap,
+                                               budget=budget)
+            except BudgetExceededError as exc:
+                print(f"budget exhausted: {inst.name}: {exc}", file=sys.stderr)
+                exhausted = True
+                counts.append((inst.name, None, None))
+            else:
+                counts.append((inst.name, len(enum), enum.truncated))
+        _atomic_write(out / "multiplicity.csv",
+                      _csv(("instance", "optima", "truncated"), counts))
 
     print(f"analyzed {len(instances)} instance(s), {len(models)} model(s) "
           f"-> {out}")
@@ -264,6 +281,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _pairing_from_results(inst, primary_res, secondary_res):
+    from .analysis import PairedObjectives
     return PairedObjectives(
         primary_optimum=primary_res.value,
         primary_at_secondary=evaluate(ObjectiveKind.MAXSUM, inst,
@@ -286,6 +304,8 @@ def _model_subset(inst: Instance, m: Optional[int], name: str,
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .analysis import HistogramMode, histogram
+    from .plots import histogram_svg, scatter_svg
     inst = _load_instance(args.instance)
     budget = _budget_from(args)
     m = args.m if args.m is not None else inst.default_m
@@ -307,6 +327,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .analysis import BenchJob, _csv, benchmark_csv, benchmark_summary
     family = Family.from_string(args.family)
     models = _split_models(args.models, _ANALYZE_MODELS)
     budget = _budget_from(args)
@@ -395,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-lp", help="emit a MILP formulation as LP text")
     p.add_argument("instance")
     p.add_argument("--kind", required=True,
-                   choices=[k.value for k in FormulationKind])
+                   choices=_LP_KINDS)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--l", type=float, default=None,
                    help="threshold for the packing kinds")
@@ -405,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check an external solver's x-vector")
     p.add_argument("instance")
     p.add_argument("--kind", required=True,
-                   choices=[k.value for k in FormulationKind])
+                   choices=_LP_KINDS)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--l", type=float, default=None)
     p.add_argument("--solution", required=True,

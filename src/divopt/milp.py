@@ -194,17 +194,32 @@ def _card(out: list[str], x: list[str], m: int) -> None:
     _put(out, " card:", _units(x), f"= {_fmt(m)}")
 
 
+def _block(out: list[str], lines: list[str], pairs, parts) -> None:
+    """Append a block of same-shape rows, each rendered on one line.  Only
+    when the widest passes _WIDTH (labels of seven digits and more) does
+    every row go through _put instead, with head, chunks and tail from
+    parts(i, j, p)."""
+    if max(map(len, lines), default=0) <= _WIDTH:
+        out += lines
+    else:
+        for i, j, p, _ in pairs:
+            _put(out, *parts(i, j, p))
+
+
 def _linking(out: list[str], x: list[str], pairs) -> None:
     # y_ij = x_i x_j: y >= x_i + x_j - 1, y <= x_i, y <= x_j
-    one = [f"1.0 {v}" for v in x]
-    plus = [f"+ 1.0 {v}" for v in x]
-    minus = [f"- 1.0 {v}" for v in x]
-    for i, j, p, _ in pairs:
-        _put(out, f" lk_{p}:", (one[i], plus[j], f"- 1.0 y_{p}"), "<= 1.0")
-    for i, j, p, _ in pairs:
-        _put(out, f" ua_{p}:", (minus[i], f"+ 1.0 y_{p}"), "<= 0.0")
-    for i, j, p, _ in pairs:
-        _put(out, f" ub_{p}:", (minus[j], f"+ 1.0 y_{p}"), "<= 0.0")
+    _block(out, [f" lk_{p}: 1.0 {x[i]} + 1.0 {x[j]} - 1.0 y_{p} <= 1.0"
+                 for i, j, p, _ in pairs], pairs,
+           lambda i, j, p: (f" lk_{p}:", (f"1.0 {x[i]}", f"+ 1.0 {x[j]}",
+                                          f"- 1.0 y_{p}"), "<= 1.0"))
+    _block(out, [f" ua_{p}: - 1.0 {x[i]} + 1.0 y_{p} <= 0.0"
+                 for i, j, p, _ in pairs], pairs,
+           lambda i, j, p: (f" ua_{p}:", (f"- 1.0 {x[i]}", f"+ 1.0 y_{p}"),
+                            "<= 0.0"))
+    _block(out, [f" ub_{p}: - 1.0 {x[j]} + 1.0 y_{p} <= 0.0"
+                 for i, j, p, _ in pairs], pairs,
+           lambda i, j, p: (f" ub_{p}:", (f"- 1.0 {x[j]}", f"+ 1.0 y_{p}"),
+                            "<= 0.0"))
 
 
 def _contribution_terms(rows: list[list[float]],

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from divopt import (Family, GeneratorSpec, HistogramMode, ObjectiveKind,
-                    enumerate_maxmin_optima, generate, histogram,
-                    solve_bilevel, solve_model, write_instance)
-from divopt.cli import main
+from divopt import (Family, FormulationKind, GeneratorSpec, HistogramMode,
+                    ObjectiveKind, enumerate_maxmin_optima, generate,
+                    histogram, solve_bilevel, solve_model, write_instance)
+from divopt.cli import _LP_KINDS, main
 from divopt.plots import histogram_svg
 
 
@@ -222,6 +222,29 @@ def test_analyze_multiplicity_at_header_m(tmp_path, capsys):
     assert rows[1:] == [
         f"{inst.name},{len(enumerate_maxmin_optima(inst, inst.default_m))},"
         "false" for inst in insts]
+
+
+def test_analyze_budget_stop_writes_na_multiplicity(tmp_path, capsys):
+    # the budget stops the maxmin solve, so no d* is proven and the
+    # enumeration stops too: the instance's row reads NA, and the run
+    # still ends with its summary line
+    inst = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=0))
+    path = tmp_path / f"{inst.name}.txt"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    argv = ["analyze", str(path), "--models", "maxsum,maxmin",
+            "--max-nodes", "5"]
+    for rep, extra, want in (("rep", [], 0), ("strict", ["--strict"], 2)):
+        code = main([*argv, *extra, "--out", str(tmp_path / rep)])
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.out.startswith("analyzed 1 instance(s), 2 model(s)")
+        assert "budget exhausted" in captured.err
+        rows = (tmp_path / rep / "multiplicity.csv").read_text().splitlines()
+        assert rows == ["instance,optima,truncated", f"{inst.name},NA,NA"]
+
+
+def test_export_lp_kind_choices_are_the_formulations():
+    assert _LP_KINDS == tuple(k.value for k in FormulationKind)
 
 
 def test_plot_scatter(square_file, tmp_path, capsys):
