@@ -21,8 +21,8 @@ import numpy as np
 from .instances import Instance
 from .objectives import (ObjectiveKind, Sense, Solution, _pair_distances,
                          evaluate)
-from .solvers import (DEFAULT_OPTIMA_CAP, SolveStatus, SolverBudget,
-                      enumerate_maxmin_optima, solve_model)
+from .solvers import (DEFAULT_OPTIMA_CAP, BudgetExceededError, SolveStatus,
+                      SolverBudget, enumerate_maxmin_optima, solve_model)
 
 
 def deviation_pct(reference: float, other: float) -> float:
@@ -199,11 +199,13 @@ def geometry_stats(instance: Instance, solution: Solution) -> GeometryStats:
 
 @dataclass(frozen=True)
 class MultiplicitySummary:
-    """Alternate-MaxMin-optima counts over an instance set."""
+    """Alternate-MaxMin-optima counts over an instance set.  An instance
+    whose enumeration a budget stopped has count and truncated None, and
+    the roll-ups cover the other instances (None when there are none)."""
 
-    per_instance: tuple[tuple[str, int, bool], ...]  # (name, count, truncated)
-    avg_count: float
-    max_count: int
+    per_instance: tuple[tuple[str, Optional[int], Optional[bool]], ...]
+    avg_count: Optional[float]
+    max_count: Optional[int]
     any_truncated: bool
 
 
@@ -222,13 +224,19 @@ def multiplicity_report(instances: Sequence[Instance], m: Optional[int],
         size = m if m is not None else instance.default_m
         if size is None:
             raise ValueError(f"no subset size for {instance.name}: pass m")
-        enum = enumerate_maxmin_optima(instance, size, cap=cap, budget=budget)
-        rows.append((instance.name, len(enum), enum.truncated))
-    counts = [c for _, c, _ in rows]
-    return MultiplicitySummary(per_instance=tuple(rows),
-                               avg_count=sum(counts) / len(counts),
-                               max_count=max(counts),
-                               any_truncated=any(t for _, _, t in rows))
+        try:
+            enum = enumerate_maxmin_optima(instance, size, cap=cap,
+                                           budget=budget)
+        except BudgetExceededError:
+            rows.append((instance.name, None, None))
+        else:
+            rows.append((instance.name, len(enum), enum.truncated))
+    counts = [c for _, c, _ in rows if c is not None]
+    return MultiplicitySummary(
+        per_instance=tuple(rows),
+        avg_count=sum(counts) / len(counts) if counts else None,
+        max_count=max(counts, default=None),
+        any_truncated=any(t for _, _, t in rows))
 
 
 def relative_range(values: Sequence[float]) -> float:

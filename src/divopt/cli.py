@@ -21,8 +21,8 @@ from .instances import (Family, FormatError, GeneratorSpec, Instance,
                         generate, parse_instance, write_instance)
 from .objectives import ObjectiveKind, Solution, evaluate
 from .solvers import (DEFAULT_OPTIMA_CAP, BiLevelResult, BudgetExceededError,
-                      SolveResult, SolveStatus, SolverBudget,
-                      enumerate_maxmin_optima, solve_bilevel, solve_model)
+                      SolveResult, SolveStatus, SolverBudget, solve_bilevel,
+                      solve_model)
 
 # analysis, milp and plots are imported by the commands that use them, so
 # solve and evaluate run on the solver core alone
@@ -30,7 +30,8 @@ from .solvers import (DEFAULT_OPTIMA_CAP, BiLevelResult, BudgetExceededError,
 _MODEL_CHOICES = ("maxsum", "maxmin", "maxminsum", "mindiff", "maxmean",
                   "bilevel-maxsum", "bilevel-maxminsum")
 _ANALYZE_MODELS = ("maxsum", "maxmin", "maxminsum", "mindiff")
-# the values of milp.FormulationKind, in its order
+# the values of milp.FormulationKind, in its order, copied so that building
+# the parser does not import milp (a test holds the two equal)
 _LP_KINDS = ("maxsum_kuo", "maxsum_w", "maxmin_kuo", "maxminsum_tight",
              "mindiff_tight", "node_packing", "packing_feasibility")
 
@@ -197,7 +198,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import (HistogramMode, _csv, cross_model_csv,
                            cross_model_report, geometry_csv, geometry_stats,
-                           histogram, histogram_csv)
+                           histogram, histogram_csv, multiplicity_csv,
+                           multiplicity_report)
     models = _split_models(args.models, _ANALYZE_MODELS)
     if not models:
         raise ValueError("analyze needs at least one model")
@@ -257,21 +259,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _atomic_write(out / f"hist_{name}.csv", histogram_csv(hist))
 
     if "maxmin" in models:
-        # an instance whose enumeration the budget stops reads NA
-        counts = []
-        for inst in instances:
-            m = args.m if args.m is not None else inst.default_m
-            try:
-                enum = enumerate_maxmin_optima(inst, m, cap=args.cap,
-                                               budget=budget)
-            except BudgetExceededError as exc:
-                print(f"budget exhausted: {inst.name}: {exc}", file=sys.stderr)
+        summary = multiplicity_report(instances, args.m, cap=args.cap,
+                                      budget=budget)
+        for name, count, _ in summary.per_instance:
+            if count is None:
+                print(f"budget exhausted: {name}", file=sys.stderr)
                 exhausted = True
-                counts.append((inst.name, None, None))
-            else:
-                counts.append((inst.name, len(enum), enum.truncated))
-        _atomic_write(out / "multiplicity.csv",
-                      _csv(("instance", "optima", "truncated"), counts))
+        _atomic_write(out / "multiplicity.csv", multiplicity_csv(summary))
 
     print(f"analyzed {len(instances)} instance(s), {len(models)} model(s) "
           f"-> {out}")

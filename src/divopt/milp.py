@@ -194,32 +194,16 @@ def _card(out: list[str], x: list[str], m: int) -> None:
     _put(out, " card:", _units(x), f"= {_fmt(m)}")
 
 
-def _block(out: list[str], lines: list[str], pairs, parts) -> None:
-    """Append a block of same-shape rows, each rendered on one line.  Only
-    when the widest passes _WIDTH (labels of seven digits and more) does
-    every row go through _put instead, with head, chunks and tail from
-    parts(i, j, p)."""
-    if max(map(len, lines), default=0) <= _WIDTH:
-        out += lines
-    else:
-        for i, j, p, _ in pairs:
-            _put(out, *parts(i, j, p))
-
-
 def _linking(out: list[str], x: list[str], pairs) -> None:
-    # y_ij = x_i x_j: y >= x_i + x_j - 1, y <= x_i, y <= x_j
-    _block(out, [f" lk_{p}: 1.0 {x[i]} + 1.0 {x[j]} - 1.0 y_{p} <= 1.0"
-                 for i, j, p, _ in pairs], pairs,
-           lambda i, j, p: (f" lk_{p}:", (f"1.0 {x[i]}", f"+ 1.0 {x[j]}",
-                                          f"- 1.0 y_{p}"), "<= 1.0"))
-    _block(out, [f" ua_{p}: - 1.0 {x[i]} + 1.0 y_{p} <= 0.0"
-                 for i, j, p, _ in pairs], pairs,
-           lambda i, j, p: (f" ua_{p}:", (f"- 1.0 {x[i]}", f"+ 1.0 y_{p}"),
-                            "<= 0.0"))
-    _block(out, [f" ub_{p}: - 1.0 {x[j]} + 1.0 y_{p} <= 0.0"
-                 for i, j, p, _ in pairs], pairs,
-           lambda i, j, p: (f" ub_{p}:", (f"- 1.0 {x[j]}", f"+ 1.0 y_{p}"),
-                            "<= 0.0"))
+    # y_ij = x_i x_j: y >= x_i + x_j - 1, y <= x_i, y <= x_j; with node
+    # labels of at most six digits (n < 10**6) every row fits in _WIDTH, so
+    # each is the one line _put would give
+    out += [f" lk_{p}: 1.0 {x[i]} + 1.0 {x[j]} - 1.0 y_{p} <= 1.0"
+            for i, j, p, _ in pairs]
+    out += [f" ua_{p}: - 1.0 {x[i]} + 1.0 y_{p} <= 0.0"
+            for i, j, p, _ in pairs]
+    out += [f" ub_{p}: - 1.0 {x[j]} + 1.0 y_{p} <= 0.0"
+            for i, j, p, _ in pairs]
 
 
 def _contribution_terms(rows: list[list[float]],

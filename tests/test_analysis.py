@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from divopt import (BenchJob, Family, GeneratorSpec, HistogramMode, Instance,
                     ObjectiveKind, PairedObjectives, Solution, SolveStatus,
-                    benchmark_csv, benchmark_summary, compute_pairing,
-                    cross_model_report, deviation_pct, generate,
-                    geometry_stats, histogram, histogram_csv,
+                    SolverBudget, benchmark_csv, benchmark_summary,
+                    compute_pairing, cross_model_report, deviation_pct,
+                    generate, geometry_stats, histogram, histogram_csv,
                     multiplicity_report, pearson, relative_range)
 
 
@@ -159,6 +159,20 @@ def test_multiplicity_unit_square(unit_square):
     assert summary.avg_count == 2.0
     assert summary.max_count == 2
     assert not summary.any_truncated
+
+
+def test_multiplicity_budget_stop_reads_none(unit_square):
+    # the budget stops the gkd-d instance's MaxMin solve, so its count is
+    # unknown; the roll-ups cover the unit square alone
+    stopped = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=0))
+    budget = SolverBudget(max_nodes=5)
+    summary = multiplicity_report([unit_square, stopped], 2, budget=budget)
+    assert summary.per_instance == (("unit_square", 2, False),
+                                    (stopped.name, None, None))
+    assert (summary.avg_count, summary.max_count) == (2.0, 2)
+    assert not summary.any_truncated
+    alone = multiplicity_report([stopped], 2, budget=budget)
+    assert (alone.avg_count, alone.max_count) == (None, None)
 
 
 def test_relative_range():

@@ -402,23 +402,6 @@ def test_emit_same_bytes_when_rows_wrap():
     _same_bytes_all_kinds(inst, 5, [values[0], values[len(values) // 2]])
 
 
-def test_linking_rows_wrap_past_the_width(monkeypatch):
-    # a linking row passes the width only with labels of seven digits, so a
-    # narrower width sends its blocks through the row-by-row path; joined
-    # back, the wrapped text reads as the text at the default width
-    inst = generate(GeneratorSpec(family=Family.MDG, n=12, m=3, seed=1))
-    for kind in (FormulationKind.MAXSUM_KUO, FormulationKind.MAXMIN_KUO):
-        wide = emit(inst, kind, m=3)
-        with monkeypatch.context() as patch:
-            patch.setattr(divopt.milp, "_WIDTH", 30)
-            narrow = emit(inst, kind, m=3)
-        lines = narrow.splitlines()
-        wrapped = {a.split("_")[0].strip() for a, b in zip(lines, lines[1:])
-                   if b.startswith("   ") and not a.startswith("   ")}
-        assert {"lk", "ua", "ub"} <= wrapped
-        assert narrow.replace("\n   ", " ") == wide.replace("\n   ", " ")
-
-
 @settings(max_examples=300, deadline=None)
 @given(head=st.sampled_from(["", " obj:", " th_100_101:", " " + "h" * 80]),
        chunks=st.lists(st.integers(1, 90).map(lambda k: "c" * k),
