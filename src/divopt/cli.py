@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .instances import (Family, FormatError, GeneratorSpec, Instance,
                         generate, parse_instance, write_instance)
@@ -27,8 +27,8 @@ from .solvers import (DEFAULT_OPTIMA_CAP, BiLevelResult, BudgetExceededError,
 # analysis, milp and plots are imported by the commands that use them, so
 # solve and evaluate run on the solver core alone
 
-_MODEL_CHOICES = ("maxsum", "maxmin", "maxminsum", "mindiff", "maxmean",
-                  "bilevel-maxsum", "bilevel-maxminsum")
+_KIND_CHOICES = tuple(kind.value for kind in ObjectiveKind)
+_MODEL_CHOICES = _KIND_CHOICES + ("bilevel-maxsum", "bilevel-maxminsum")
 _ANALYZE_MODELS = ("maxsum", "maxmin", "maxminsum", "mindiff")
 # the values of milp.FormulationKind, in its order, copied so that building
 # the parser does not import milp (a test holds the two equal)
@@ -37,9 +37,7 @@ _LP_KINDS = ("maxsum_kuo", "maxsum_w", "maxmin_kuo", "maxminsum_tight",
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     tmp.write_bytes(text.encode("utf-8"))
     os.replace(tmp, path)
@@ -54,7 +52,7 @@ def _value_str(v: float) -> str:
     return format(v, ".12g")
 
 
-def _subset_str(solution: Solution) -> str:
+def _subset_str(solution: Iterable[int]) -> str:
     return ",".join(str(i + 1) for i in solution)
 
 
@@ -108,18 +106,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_solve_result(model_name: str, res) -> None:
-    print(f"model {model_name}")
-    print(f"status {res.status.value}")
-    if res.value is not None:
-        print(f"value {_value_str(res.value)}")
-    if res.solution is not None:
-        print(f"subset {_subset_str(res.solution)}")
-    print(f"explored {res.stats.subsets_or_nodes_explored}")
-    if res.stats.decision_solves:
-        print(f"decision_solves {res.stats.decision_solves}")
-
-
 def _solve_named(inst: Instance, name: str, m: Optional[int],
                  budget: SolverBudget, *, method: str = "improved",
                  mode: str = "enumerate", cap: int = DEFAULT_OPTIMA_CAP,
@@ -140,21 +126,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else inst.default_m
     res = _solve_named(inst, args.model, m, _budget_from(args),
                        method=args.method, mode=args.mode, cap=args.cap)
+    print(f"model {args.model}")
     if isinstance(res, BiLevelResult):
         # a truncated enumeration picks among only some MaxMin optima
         status = SolveStatus.FEASIBLE if res.truncated else SolveStatus.OPTIMAL
-        print(f"model {args.model}")
         print(f"status {status.value}")
         print(f"d_star {_value_str(res.d_star)}")
         print(f"optima {res.optima_enumerated}")
         print(f"truncated {'true' if res.truncated else 'false'}")
         print(f"value {_value_str(res.upper_value)}")
         print(f"subset {_subset_str(res.chosen)}")
-        return 2 if args.strict and res.truncated else 0
-    _print_solve_result(args.model, res)
-    if args.strict and res.status is not SolveStatus.OPTIMAL:
-        return 2
-    return 0
+    else:
+        status = res.status
+        print(f"status {status.value}")
+        if res.value is not None:
+            print(f"value {_value_str(res.value)}")
+        if res.solution is not None:
+            print(f"subset {_subset_str(res.solution)}")
+        print(f"explored {res.stats.subsets_or_nodes_explored}")
+        if res.stats.decision_solves:
+            print(f"decision_solves {res.stats.decision_solves}")
+    return 2 if args.strict and status is not SolveStatus.OPTIMAL else 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -186,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     solution_text = Path(args.solution).read_text(encoding="utf-8")
     m = args.m if args.m is not None else inst.default_m
     report = verify_external(inst, kind, m, solution_text, l=args.l)
-    print(f"selected {','.join(str(i + 1) for i in report.selected)}")
+    print(f"selected {_subset_str(report.selected)}")
     if report.value is not None:
         print(f"value {_value_str(report.value)}")
     print(f"valid {'true' if report.valid else 'false'}")
@@ -357,6 +349,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _budget_parser(time_limit: Optional[float]) -> argparse.ArgumentParser:
+    """The budget flags, --time-limit defaulting to time_limit.  Commands
+    share a parent's actions, so another default needs another parent."""
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--time-limit", type=float, default=time_limit,
+                        help="wall-clock budget per solve (seconds)")
+    budget.add_argument("--max-nodes", type=int, default=None,
+                        help="search-node budget per solve")
+    budget.add_argument("--max-subsets", type=int, default=None,
+                        help="subset budget for brute-force solves")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divopt",
@@ -364,13 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "analysis for diversity/dispersion subset selection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--time-limit", type=float, default=None,
-                        help="wall-clock budget per solve (seconds)")
-    budget.add_argument("--max-nodes", type=int, default=None,
-                        help="search-node budget per solve")
-    budget.add_argument("--max-subsets", type=int, default=None,
-                        help="subset budget for brute-force solves")
+    budget = _budget_parser(time_limit=None)
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict", action="store_true",
                         help="exit 2 when any solve is not proven optimal")
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate a subset under one model")
     p.add_argument("instance")
-    p.add_argument("--model", required=True, choices=_MODEL_CHOICES[:5])
+    p.add_argument("--model", required=True, choices=_KIND_CHOICES)
     p.add_argument("--subset", required=True,
                    help="1-based labels, e.g. 2,3,4")
     p.set_defaults(func=cmd_evaluate)
@@ -449,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG file")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("bench", parents=[strict],
+    p = sub.add_parser("bench", parents=[_budget_parser(time_limit=60.0),
+                                         strict],
                        help="generate a batch and benchmark the models")
     p.add_argument("--family", required=True,
                    choices=[f.value for f in Family if f is not Family.CUSTOM])
@@ -458,10 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(_ANALYZE_MODELS))
-    p.add_argument("--time-limit", type=float, default=60.0,
-                   help="per-job wall budget (seconds)")
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-subsets", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 

@@ -298,14 +298,15 @@ def generate(spec: GeneratorSpec) -> Instance:
                       spec.family, spec.m)
 
 
-def truncate(instance: Instance, k: int, *, default_m: Optional[int] = None) -> Instance:
-    """Restrict an instance to its first k nodes (leading principal submatrix)."""
+def truncate(instance: Instance, k: int) -> Instance:
+    """Restrict an instance to its first k nodes (leading principal
+    submatrix), with no default subset size."""
     if not (2 <= k <= instance.n):
         raise ValueError(f"k={k} out of range [2, {instance.n}]")
     d = instance.distances[:k, :k].copy()
     coords = instance.coords[:k].copy() if instance.coords is not None else None
     return Instance(name=f"{instance.name}_first{k}", family=instance.family,
-                    distances=d, coords=coords, default_m=default_m)
+                    distances=d, coords=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +340,7 @@ def write_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_instance(text: str, *, name: str = "parsed",
-                   family: Family = Family.CUSTOM) -> Instance:
+def parse_instance(text: str, *, name: str = "parsed") -> Instance:
     """Parse the canonical format; strict about completeness and symmetry."""
     # stripped content lines: blanks and comments dropped, the sentinel kept
     lines = [s for s in (raw.strip() for raw in text.splitlines())
@@ -420,7 +420,8 @@ def parse_instance(text: str, *, name: str = "parsed",
         coords = np.array(rows, dtype=np.float64)
 
     try:
-        return Instance(name=name, family=family, distances=d, coords=coords,
+        return Instance(name=name, family=Family.CUSTOM, distances=d,
+                        coords=coords,
                         default_m=default_m if default_m >= 2 else None)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

@@ -90,10 +90,11 @@ class SolverBudget:
     """Limits for one solver call; None means unlimited.
 
     ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
-    backtracking searches and ``time_limit`` the wall clock (seconds).
-    The subset walk (MaxSum branch and bound, exact bi-level, MaxMin
-    enumeration) counts only visited nodes: a branch with too few
-    candidates left is skipped unvisited and costs no node.
+    backtracking searches and ``time_limit`` the wall clock (seconds), each
+    over the whole call (all probes of a MaxMin solve), but solve_bilevel
+    and enumerate_maxmin_optima give a d* solve and their subset walk the
+    full max_nodes each.  The subset walk counts only visited nodes: a
+    branch with too few candidates is skipped unvisited and costs nothing.
     """
 
     max_subsets: Optional[int] = None
@@ -142,7 +143,6 @@ class OptimaEnumeration:
 class BiLevelResult:
     d_star: float
     optima_enumerated: int
-    cap: int
     truncated: bool
     upper_kind: ObjectiveKind
     chosen: Solution
@@ -525,7 +525,7 @@ def solve_maxmin_improved(instance: Instance, m: int,
     exhausted = False
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        remaining = _remaining_budget(budget, start)
+        remaining = _remaining_budget(budget, start, nodes)
         if remaining is None:
             exhausted = True
             break
@@ -550,14 +550,17 @@ def solve_maxmin_improved(instance: Instance, m: int,
     return result
 
 
-def _remaining_budget(budget: SolverBudget, start: float) -> Optional[SolverBudget]:
-    """Budget left for the next inner call; None when time already ran out."""
-    if budget.time_limit is None:
-        return budget
-    left = budget.time_limit - (time.perf_counter() - start)
-    if left <= 0:
+def _remaining_budget(budget: SolverBudget, start: float,
+                      nodes: int) -> Optional[SolverBudget]:
+    """Budget left after nodes explored since start; None once it ran out."""
+    max_nodes, time_limit = budget.max_nodes, budget.time_limit
+    if max_nodes is not None:
+        max_nodes -= nodes
+    if time_limit is not None:
+        time_limit -= time.perf_counter() - start
+    if any(left is not None and left <= 0 for left in (max_nodes, time_limit)):
         return None
-    return replace(budget, time_limit=left)
+    return replace(budget, max_nodes=max_nodes, time_limit=time_limit)
 
 
 def default_subinterval_exponent(instance: Instance) -> Optional[int]:
@@ -604,7 +607,7 @@ def solve_maxmin_original(instance: Instance, m: int,
 
     while values_in_bracket() > 1 and solves <= q:
         mid = (lo + hi) / 2.0
-        remaining = _remaining_budget(budget, start)
+        remaining = _remaining_budget(budget, start, nodes)
         if remaining is None:
             exhausted = True
             break
@@ -640,15 +643,15 @@ def solve_maxmin_original(instance: Instance, m: int,
 def enumerate_maxmin_optima(instance: Instance, m: int,
                             cap: int = DEFAULT_OPTIMA_CAP,
                             budget: Optional[SolverBudget] = None,
-                            z_star: Optional[float] = None) -> OptimaEnumeration:
+                            ) -> OptimaEnumeration:
     """All m-subsets whose min pairwise distance equals the MaxMin optimum.
 
     They are exactly the size-m independent sets of G(z*), generated in
     lexicographic order.  ``truncated`` reports that more exist beyond the
-    cap.  With ``z_star=None`` the optimum is the one an exact MaxMin solve
-    of (instance, m) proved and cached on the instance; only when none is
-    cached does it cost one solve_maxmin_improved call.  Raises
-    BudgetExceededError when limits cut the search short.
+    cap.  z* is the optimum an exact MaxMin solve of (instance, m) proved
+    and cached on the instance; only when none is cached does it cost one
+    solve_maxmin_improved call.  Raises BudgetExceededError when limits cut
+    the search short.
     """
     if m is None:
         raise ValueError("maxmin enumeration requires a subset size m")
@@ -657,8 +660,7 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
         raise ValueError(f"cap must be positive, got {cap}")
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    if z_star is None:
-        z_star = _maxmin_optimum(instance, m, budget)
+    z_star = _maxmin_optimum(instance, m, budget)
     graph = build_threshold_graph(instance, z_star)
     found: list[Solution] = []
 
@@ -1053,11 +1055,10 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     d_star = _maxmin_optimum(instance, m, budget)
 
     if mode == "enumerate":
-        remaining = _remaining_budget(budget, start)
+        remaining = _remaining_budget(budget, start, 0)  # full max_nodes
         if remaining is None:
             raise BudgetExceededError("time budget exhausted before enumeration")
-        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=remaining,
-                                         z_star=d_star)
+        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=remaining)
         # max keeps the first best optimum, the lexicographically smallest
         chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
         count, truncated = len(optima), optima.truncated
@@ -1070,7 +1071,7 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
             raise BudgetExceededError(
                 f"exact bi-level search exceeded budget after {nodes} nodes")
         chosen, truncated = Solution(best_combo), False
-    return BiLevelResult(d_star=d_star, optima_enumerated=count, cap=cap,
+    return BiLevelResult(d_star=d_star, optima_enumerated=count,
                          truncated=truncated, upper_kind=upper_kind,
                          chosen=chosen,
                          upper_value=evaluate(upper_kind, instance, chosen))

@@ -12,7 +12,7 @@ import pytest
 from divopt import (Family, FormulationKind, GeneratorSpec, HistogramMode,
                     ObjectiveKind, enumerate_maxmin_optima, generate,
                     histogram, solve_bilevel, solve_model, write_instance)
-from divopt.cli import _LP_KINDS, main
+from divopt.cli import _LP_KINDS, build_parser, main
 from divopt.plots import histogram_svg
 
 
@@ -330,6 +330,25 @@ def test_bench_budget_stopped_jobs_have_no_deviation(tmp_path, capsys):
     assert all(line.split(",")[3] == "feasible" for line in results)
     summary = (out / "summary.csv").read_text().splitlines()[1:]
     assert summary == ["mdg_n30_m6,maxmin,2,0,NA", "mdg_n30_m6,maxsum,2,0,NA"]
+
+
+def test_only_bench_defaults_a_time_limit():
+    # one parser: a default set on a shared parent's action would reach
+    # every command built from that parent
+    parser = build_parser()
+
+    def limits(*argv):
+        args = parser.parse_args(argv)
+        return args.time_limit, args.max_nodes, args.max_subsets
+
+    bench = ("bench", "--family", "som", "--n", "8", "--m", "3", "--out", "b")
+    assert limits(*bench) == (60.0, None, None)
+    assert limits(*bench, "--time-limit", "5", "--max-nodes", "7",
+                  "--max-subsets", "9") == (5.0, 7, 9)
+    for argv in (("solve", "a.txt", "--model", "maxmin"),
+                 ("analyze", "a.txt", "--out", "o"),
+                 ("plot", "a.txt", "--out", "o.svg")):
+        assert limits(*argv) == (None, None, None)
 
 
 def test_exit_codes(t4_file):

@@ -199,11 +199,11 @@ def test_generator_spec_rejects_settings_its_family_ignores(family, overrides):
 
 def test_truncate_takes_leading_block():
     inst = generate(GeneratorSpec(family=Family.GKD_D, n=10, m=3, seed=4))
-    sub = truncate(inst, 6, default_m=2)
+    sub = truncate(inst, 6)
     assert sub.n == 6
     assert np.array_equal(sub.distances, inst.distances[:6, :6])
     assert np.array_equal(sub.coords, inst.coords[:6])
-    assert sub.default_m == 2
+    assert sub.default_m is None
     assert sub.name.endswith("_first6")
 
 

@@ -89,8 +89,7 @@ def test_nan_threshold_rejected(t4):
     for call in (lambda: build_threshold_graph(t4, nan),
                  lambda: build_threshold_graph(t4, np.float64(nan)),
                  lambda: feasible_subset(t4, nan, 3),
-                 lambda: max_packing(t4, nan),
-                 lambda: enumerate_maxmin_optima(t4, 3, z_star=nan)):
+                 lambda: max_packing(t4, nan)):
         with pytest.raises(ValueError, match="NaN"):
             call()
 
@@ -699,10 +698,12 @@ def test_enumerate_maxmin_equals_brute_filter(family, n, m, seed):
 
 def test_exact_bilevel_node_budget_raises():
     inst = generate(GeneratorSpec(family=Family.SOM, n=24, m=6, seed=1))
-    # enough nodes for the MaxMin probes, too few for the subset walk
-    with pytest.raises(BudgetExceededError, match="exact bi-level"):
+    # enough nodes for the MaxMin solve (85), too few for the subset walk,
+    # which gets the full max_nodes again
+    with pytest.raises(BudgetExceededError,
+                       match="exact bi-level search exceeded budget after 101"):
         solve_bilevel(inst, 6, ObjectiveKind.MAXMINSUM, mode="exact",
-                      budget=SolverBudget(max_nodes=50))
+                      budget=SolverBudget(max_nodes=100))
 
 
 def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
@@ -1173,22 +1174,23 @@ def test_max_packing_budget_stop_returns_greedy(spec, above, max_nodes, want):
 
 # solve_maxmin_original under max_nodes: (family, n, m, seed), max_nodes,
 # the packing probes that stopped as (probe index, greedy size) ->
-# (status, value hex, witness, nodes, probes, trace digest).  A stopped
-# packing of size >= m is a feasible probe and the bisection goes on; one
-# below m ends it.  The last pin stops before any witness, so the result is
-# the first m nodes.
+# (status, value hex, witness, nodes, probes, trace digest).  max_nodes
+# holds for the whole solve, so a stopped packing is the last probe: one of
+# size >= m still proves feasibility at its level and joins the trace, one
+# below m does not.  The last pin stops before any witness, so the result
+# is the first m nodes.
 ORIGINAL_BUDGET_PINS = [
     (('gkd-d', 40, 5, 1), 30, ((1, 9),),
-     ('optimal', '0x1.a485c7aa8591ep+5', (5, 6, 12, 20, 28), 104, 10,
-      '7328a66bbfe7c4e1')),
+     ('feasible', '0x1.1cd14f4b72625p+5', (1, 6, 12, 16, 20), 31, 2,
+      '4e93aafa2353eee0')),
     (('mdg', 60, 6, 6), 100, ((0, 7),),
-     ('optimal', '0x1.bdfb96dfe6bf1p+2', (11, 24, 36, 39, 44, 46), 636, 10,
-      'cbc064ad9664fd3d')),
-    (('gkd-d', 60, 8, 9), 20, ((1, 10), (2, 6)),
-     ('feasible', '0x1.0037c6783bb58p+5', (1, 4, 11, 13, 14, 19, 29, 37), 60,
-      3, 'df3742712c287958')),
-    (('mdg', 40, 5, 2), 5, ((0, 6), (1, 4)),
-     ('feasible', '0x1.4d7d5d67dbb64p+2', (7, 11, 15, 20, 26), 12, 2,
+     ('feasible', '0x1.63de368477674p+2', (0, 4, 5, 20, 24, 39), 101, 1,
+      'a08f49651f7040ac')),
+    (('gkd-d', 60, 8, 9), 20, ((1, 10),),
+     ('feasible', '0x1.0037c6783bb58p+5', (1, 4, 11, 13, 14, 19, 29, 37), 21,
+      2, 'df3742712c287958')),
+    (('mdg', 40, 5, 2), 5, ((0, 6),),
+     ('feasible', '0x1.4d7d5d67dbb64p+2', (7, 11, 15, 20, 26), 6, 1,
       'ea11a020a3339e3f')),
     (('gkd-d', 60, 8, 9), 5, ((0, 4),),
      ('feasible', '0x1.8ebefc7d14557p+2', (0, 1, 2, 3, 4, 5, 6, 7), 6, 1,
@@ -1224,15 +1226,15 @@ def test_original_budget_stops_pinned(monkeypatch, spec, max_nodes, stopped,
 IMPROVED_BUDGET_PINS = [
     (('gkd-d', 60, 8, 9), 100,
      ('feasible', '0x1.14a24b40ae749p+5', (30, 32, 36, 39, 40, 43, 49, 52),
-      154, 3, '849a4d7ca88d01d6')),
+      101, 3, '849a4d7ca88d01d6')),
     (('mdg', 60, 6, 6), 100,
-     ('feasible', '0x1.5bcf776e38f43p+2', (0, 6, 18, 24, 54, 55), 155, 2,
+     ('feasible', '0x1.5bcf776e38f43p+2', (0, 6, 18, 24, 54, 55), 101, 2,
       'fe16129938fd94b0')),
     (('gkd', 50, 7, 3), 50,
-     ('feasible', '0x1.104024b33daf9p+4', (1, 9, 10, 22, 27, 41, 42), 93, 2,
+     ('feasible', '0x1.104024b33daf9p+4', (1, 9, 10, 22, 27, 41, 42), 51, 2,
       'e1452d376a5c9b33')),
     (('gkd-d', 60, 8, 9), 5,
-     ('feasible', '0x1.8ebefc7d14557p+2', (0, 1, 2, 3, 4, 5, 6, 7), 7, 2,
+     ('feasible', '0x1.8ebefc7d14557p+2', (0, 1, 2, 3, 4, 5, 6, 7), 6, 2,
       '21a2ac339968c69b')),
 ]
 
@@ -1247,6 +1249,43 @@ def test_improved_budget_stops_pinned(spec, max_nodes, want):
             res.stats.subsets_or_nodes_explored, res.stats.decision_solves,
             _trace_digest(res.stats.trace)) == want
     assert res.value == eval_maxmin(inst, res.solution)
+
+
+# max_nodes holds for a whole MaxMin solve, not for each probe
+_MAXMIN_METHODS = {"improved": solve_maxmin_improved,
+                   "original": solve_maxmin_original}
+_NODE_CAP_CASES = [(('gkd-d', 40, 6, 3), 50), (('mdg', 60, 6, 6), 100),
+                   (('gkd', 50, 7, 3), 50), (('som', 50, 6, 8), 30)]
+
+
+@pytest.mark.parametrize("method", sorted(_MAXMIN_METHODS))
+@pytest.mark.parametrize("spec,max_nodes", _NODE_CAP_CASES)
+def test_maxmin_stop_explores_at_most_max_nodes_plus_one(spec, max_nodes,
+                                                          method):
+    m = spec[2]
+    inst = _generate(spec)
+    res = _MAXMIN_METHODS[method](inst, m, SolverBudget(max_nodes=max_nodes))
+    assert res.status is SolveStatus.FEASIBLE
+    assert res.stats.subsets_or_nodes_explored <= max_nodes + 1
+    assert res.value == eval_maxmin(inst, res.solution)
+
+
+@pytest.mark.parametrize("method", sorted(_MAXMIN_METHODS))
+@pytest.mark.parametrize("spec", [spec for spec, _ in _NODE_CAP_CASES])
+def test_maxmin_needs_exactly_its_node_count(spec, method):
+    # the unbudgeted solve's node count is enough, one node fewer is not
+    solve, m = _MAXMIN_METHODS[method], spec[2]
+    full = solve(_generate(spec), m)
+    nodes = full.stats.subsets_or_nodes_explored
+    exact = solve(_generate(spec), m, SolverBudget(max_nodes=nodes))
+    assert exact.status is SolveStatus.OPTIMAL
+    assert (exact.value, exact.solution, exact.stats.subsets_or_nodes_explored,
+            exact.stats.trace) == (full.value, full.solution, nodes,
+                                   full.stats.trace)
+    short = solve(_generate(spec), m, SolverBudget(max_nodes=nodes - 1))
+    assert short.stats.subsets_or_nodes_explored <= nodes
+    # a stopped last packing of size >= m still decides its probe
+    assert short.status is SolveStatus.FEASIBLE or short.value == full.value
 
 
 # ---------------------------------------------------------------------------
