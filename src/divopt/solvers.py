@@ -31,8 +31,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from math import ceil, comb, inf, isnan, log2
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -91,10 +92,10 @@ class SolverBudget:
 
     ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
     backtracking searches and ``time_limit`` the wall clock (seconds), each
-    over the whole call (all probes of a MaxMin solve), but solve_bilevel
-    and enumerate_maxmin_optima give a d* solve and their subset walk the
-    full max_nodes each.  The subset walk counts only visited nodes: a
-    branch with too few candidates is skipped unvisited and costs nothing.
+    over the whole call: all probes of a MaxMin solve, and the d* solve
+    plus the subset walk of solve_bilevel and enumerate_maxmin_optima.  The
+    subset walk counts only visited nodes: a branch with too few candidates
+    is skipped unvisited and costs nothing.
     """
 
     max_subsets: Optional[int] = None
@@ -490,18 +491,19 @@ def _maxmin_result(instance: Instance, m: int, status: SolveStatus,
     return SolveResult(ObjectiveKind.MAXMIN, status, witness, value, stats)
 
 
-def _maxmin_optimum(instance: Instance, m: int, budget: SolverBudget) -> float:
-    """The MaxMin optimum d* of (instance, m): the cached proven value, or
-    one solve_maxmin_improved call, which caches it.  A cache hit charges
-    nothing to the budget.  Raises BudgetExceededError when the solve stops
-    before it proves the optimum."""
+def _maxmin_optimum(instance: Instance, m: int,
+                    budget: SolverBudget) -> tuple[float, int]:
+    """The MaxMin optimum d* of (instance, m) and the nodes spent on it: the
+    cached proven value at no cost, or one solve_maxmin_improved call, which
+    caches it.  Raises BudgetExceededError when the solve stops before it
+    proves the optimum."""
     d_star = instance._maxmin.get(m)
-    if d_star is None:
-        base = solve_maxmin_improved(instance, m, budget)
-        if base.status is not SolveStatus.OPTIMAL:
-            raise BudgetExceededError("MaxMin optimum not proven within budget")
-        d_star = base.value
-    return d_star
+    if d_star is not None:
+        return d_star, 0
+    base = solve_maxmin_improved(instance, m, budget)
+    if base.status is not SolveStatus.OPTIMAL:
+        raise BudgetExceededError("MaxMin optimum not proven within budget")
+    return base.value, base.stats.subsets_or_nodes_explored
 
 
 def solve_maxmin_improved(instance: Instance, m: int,
@@ -650,8 +652,8 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
     lexicographic order.  ``truncated`` reports that more exist beyond the
     cap.  z* is the optimum an exact MaxMin solve of (instance, m) proved
     and cached on the instance; only when none is cached does it cost one
-    solve_maxmin_improved call.  Raises BudgetExceededError when limits cut
-    the search short.
+    solve_maxmin_improved call, whose nodes count against max_nodes.
+    Raises BudgetExceededError when limits cut the search short.
     """
     if m is None:
         raise ValueError("maxmin enumeration requires a subset size m")
@@ -660,7 +662,10 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
         raise ValueError(f"cap must be positive, got {cap}")
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    z_star = _maxmin_optimum(instance, m, budget)
+    z_star, spent = _maxmin_optimum(instance, m, budget)
+    left = _remaining_budget(budget, start, spent)
+    if left is None:
+        raise BudgetExceededError("budget exhausted before enumeration")
     graph = build_threshold_graph(instance, z_star)
     found: list[Solution] = []
 
@@ -669,7 +674,7 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
         return len(found) <= cap  # one past the cap proves truncation
 
     nodes, exhausted = _walk_subsets(None, graph.adj, m, leaf,
-                                     max_nodes=budget.max_nodes,
+                                     max_nodes=left.max_nodes,
                                      deadline=budget.deadline(start))
     if exhausted:
         raise BudgetExceededError(
@@ -950,6 +955,19 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     return nodes, False
 
 
+def _add_half_tops(D: list[list[float]], scores: list[float],
+                   remaining: tuple[int, ...], need: int) -> None:
+    """Add to each scores[i] half the sum of remaining[i]'s need - 1
+    largest distances to the other candidates (need >= 2): the part of the
+    MaxSum completion bound that does not depend on the picks so far."""
+    gather = itemgetter(*remaining)
+    for i, v in enumerate(remaining):
+        others = list(gather(D[v]))
+        del others[i]  # v itself
+        others.sort(reverse=True)
+        scores[i] += 0.5 * sum(others[:need - 1])
+
+
 def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
                           remaining: tuple[int, ...], need: int) -> float:
     """Most that need more picks from remaining can add to a MaxSum value
@@ -957,14 +975,36 @@ def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
     distance sum into the picks so far."""
     scores = list(gains)
     if need > 1:
-        gather = itemgetter(*remaining)
-        for i, v in enumerate(remaining):
-            others = list(gather(D[v]))
-            del others[i]  # v itself
-            others.sort(reverse=True)
-            scores[i] += 0.5 * sum(others[:need - 1])
+        _add_half_tops(D, scores, remaining, need)
     scores.sort(reverse=True)
     return sum(scores[:need])
+
+
+def _suffix_completion_bound(D: list[list[float]]
+                             ) -> Callable[..., float]:
+    """_sum_completion_bound(D, ...) for candidate sets that are suffixes
+    range(s, n), as in a walk without conflicts.  Their half-top terms
+    depend only on (s, need), so each row of them is computed once and
+    kept: at most n * m rows of at most n floats.  A row starts at 0.0 and
+    0.0 + t is t itself (a term is a sum started at 0, never -0.0), so
+    gains[i] + row[i] is the sum _sum_completion_bound forms, bit for
+    bit."""
+    table: dict[tuple[int, int], list[float]] = {}
+
+    def bound(gains: Sequence[float], remaining: tuple[int, ...],
+              need: int) -> float:
+        if need == 1:
+            return _sum_completion_bound(D, gains, remaining, need)
+        key = (remaining[0], need)
+        row = table.get(key)
+        if row is None:
+            row = table[key] = [0.0] * len(remaining)
+            _add_half_tops(D, row, remaining, need)
+        scores = list(map(add, gains, row))
+        scores.sort(reverse=True)
+        return sum(scores[:need])
+
+    return bound
 
 
 def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
@@ -988,11 +1028,15 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
             best_val, best_combo = val, tuple(chosen)
         return True
 
+    # without conflicts every candidate set is a suffix
+    completion = (partial(_sum_completion_bound, D) if any(adj)
+                  else _suffix_completion_bound(D))
+
     def prune(cur: float, gains: list[float], remaining: tuple[int, ...],
               need: int) -> bool:
         if best_combo is None:
             return False  # no incumbent for a bound to cut against
-        bound = cur + _sum_completion_bound(D, gains, remaining, need)
+        bound = cur + completion(gains, remaining, need)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
@@ -1009,7 +1053,11 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     At a partial selection the bound adds, for each of the m-k best
     remaining candidates, its distance sum into the selection plus half its
     m-k-1 largest distances to other remaining candidates; no completion
-    can exceed that.
+    can exceed that.  With no conflicts the candidates are always a suffix
+    range(s, n), so the half-distance terms depend only on (s, m-k): each
+    such row is computed once per solve and kept in a table of at most
+    n * m rows of at most n floats, and a node only adds its gains to a
+    row and sums the m-k largest.
     """
     _validate_m(instance, m)
     budget = budget or _NO_BUDGET
@@ -1042,7 +1090,8 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     the answer is exact no matter how many optima exist.  The lower-level
     optimum d* is solved once per (instance, m) and cached on the instance,
     so later bi-level calls in either mode, and MaxMin enumeration, reuse
-    it without charging the budget.
+    it without charging the budget; when it is solved here, its nodes count
+    against max_nodes together with the subset search's.
     """
     if upper_kind not in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM):
         raise ValueError(f"upper objective must be maxsum or maxminsum, "
@@ -1052,13 +1101,13 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     _validate_m(instance, m)
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
-    d_star = _maxmin_optimum(instance, m, budget)
-
+    d_star, spent = _maxmin_optimum(instance, m, budget)
+    left = _remaining_budget(budget, start, spent)
+    if left is None:
+        raise BudgetExceededError("budget exhausted before the subset search")
     if mode == "enumerate":
-        remaining = _remaining_budget(budget, start, 0)  # full max_nodes
-        if remaining is None:
-            raise BudgetExceededError("time budget exhausted before enumeration")
-        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=remaining)
+        # d* is cached now, so enumeration charges only its walk to left
+        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=left)
         # max keeps the first best optimum, the lexicographically smallest
         chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
         count, truncated = len(optima), optima.truncated
@@ -1066,7 +1115,7 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
         graph = build_threshold_graph(instance, d_star)
         best_combo, count, nodes, exhausted = _best_subset(
             instance.distances.tolist(), graph.adj, m, upper_kind,
-            budget.max_nodes, budget.deadline(start))
+            left.max_nodes, budget.deadline(start))
         if exhausted:
             raise BudgetExceededError(
                 f"exact bi-level search exceeded budget after {nodes} nodes")

@@ -163,9 +163,10 @@ def test_multiplicity_unit_square(unit_square):
 
 def test_multiplicity_budget_stop_reads_none(unit_square):
     # the budget stops the gkd-d instance's MaxMin solve, so its count is
-    # unknown; the roll-ups cover the unit square alone
+    # unknown; the roll-ups cover the unit square alone, whose d* solve and
+    # enumeration walk take 3 + 5 nodes of the one budget
     stopped = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=0))
-    budget = SolverBudget(max_nodes=5)
+    budget = SolverBudget(max_nodes=8)
     summary = multiplicity_report([unit_square, stopped], 2, budget=budget)
     assert summary.per_instance == (("unit_square", 2, False),
                                     (stopped.name, None, None))

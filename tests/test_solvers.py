@@ -629,6 +629,91 @@ def test_sum_completion_bound_bit_identical(values):
     assert checked > 600
 
 
+@pytest.mark.parametrize("values", TIE_VALUES)
+def test_suffix_bound_table_bit_identical(values):
+    # the bound MaxSum B&B prunes with, its terms kept per (s, need); the
+    # second round reads every row from the table
+    rng = np.random.default_rng(6)
+    checked = 0
+    for seed in range(8):
+        n = int(rng.integers(2, 16))
+        D = _tie_heavy(seed, n, values).distances.tolist()
+        bound = solvers._suffix_completion_bound(D)
+        for _ in range(2):
+            for s in range(n):
+                remaining = tuple(range(s, n))
+                # picks from the prefix, in pick order
+                chosen = [int(v) for v in
+                          rng.permutation(s)[:int(rng.integers(0, s + 1))]]
+                gains = []
+                for v in remaining:
+                    gain = 0.0
+                    for c in chosen:
+                        gain += D[v][c]
+                    gains.append(gain)
+                for need in range(1, n - s + 1):
+                    got = bound(gains, remaining, need)
+                    want = _generator_sort_bound(D, chosen, remaining, need)
+                    assert got.hex() == want.hex(), (seed, chosen, s, need)
+                    checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("family,n,m,seed", [
+    ("gkd-d", 25, 5, 3), ("mdg", 30, 6, 0), ("som", 50, 5, 0)])
+def test_maxsum_bnb_computes_each_table_row_once(monkeypatch, family, n, m,
+                                                 seed):
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    keys = []
+    add_half_tops = solvers._add_half_tops
+
+    def counted(D, scores, remaining, need):
+        keys.append((remaining, need))
+        add_half_tops(D, scores, remaining, need)
+
+    monkeypatch.setattr(solvers, "_add_half_tops", counted)
+    res = solve_maxsum_bnb(inst, m)
+    assert res.status is SolveStatus.OPTIMAL
+    assert keys and len(set(keys)) == len(keys) <= n * m
+    assert all(rem == tuple(range(rem[0], n)) for rem, _ in keys)
+
+
+# (family, n, m, seed): MaxSum B&B (value hex, subset, nodes) unbudgeted, then
+# (status, value hex, subset, nodes) with max_nodes=300, as recorded before
+# the bound kept its per-suffix rows in a table
+BNB_TABLE_PINS = [
+    (("mdg", 30, 6, 0),
+     ("0x1.e0c84f78cccdfp+6", (2, 6, 17, 19, 21, 24), 2066),
+     ("feasible", "0x1.bd64905c1fdddp+6", (0, 1, 2, 20, 21, 24), 301)),
+    (("gkd-d", 50, 5, 0),
+     ("0x1.bf7ed12e6f944p+9", (1, 15, 16, 37, 47), 14842),
+     ("feasible", "0x1.9aae40bb3e1f6p+9", (0, 1, 2, 16, 37), 301)),
+    (("som", 50, 5, 0),
+     ("0x1.4c00000000000p+6", (0, 1, 10, 23, 31), 3124),
+     ("feasible", "0x1.3400000000000p+6", (0, 1, 4, 8, 26), 301)),
+    (("mdg", 60, 4, 0),
+     ("0x1.c1fa0dd7b460fp+5", (0, 23, 52, 59), 2096),
+     ("feasible", "0x1.96b450f6df59ap+5", (0, 1, 20, 21), 301)),
+]
+
+
+@pytest.mark.parametrize("spec,full,stopped", BNB_TABLE_PINS,
+                         ids=["-".join(map(str, pin[0]))
+                              for pin in BNB_TABLE_PINS])
+def test_maxsum_bnb_keeps_pinned_results(spec, full, stopped):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    res = solve_maxsum_bnb(inst, m)
+    assert res.status is SolveStatus.OPTIMAL
+    assert (res.value.hex(), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored) == full
+    res = solve_maxsum_bnb(inst, m, SolverBudget(max_nodes=300))
+    assert (res.status.value, res.value.hex(), tuple(res.solution),
+            res.stats.subsets_or_nodes_explored) == stopped
+
+
 # (family, n, m, seed): MaxSum B&B (value hex, subset, nodes) and exact
 # bi-level (optima_enumerated, chosen, upper_value hex) for MaxSum and
 # MaxMinSum, as the per-algorithm DFS bodies gave them before the walker
@@ -699,11 +784,60 @@ def test_enumerate_maxmin_equals_brute_filter(family, n, m, seed):
 def test_exact_bilevel_node_budget_raises():
     inst = generate(GeneratorSpec(family=Family.SOM, n=24, m=6, seed=1))
     # enough nodes for the MaxMin solve (85), too few for the subset walk,
-    # which gets the full max_nodes again
+    # which gets the 15 left and stops at its 16th
     with pytest.raises(BudgetExceededError,
-                       match="exact bi-level search exceeded budget after 101"):
+                       match="exact bi-level search exceeded budget after 16 "):
         solve_bilevel(inst, 6, ObjectiveKind.MAXMINSUM, mode="exact",
                       budget=SolverBudget(max_nodes=100))
+
+
+def _bilevel_call(kind, mode):
+    return lambda inst, m, budget: solve_bilevel(inst, m, kind, mode=mode,
+                                                 budget=budget)
+
+
+# name: (call, upper kind of its exact walk, or None for the enumeration walk)
+_D_STAR_CALLS = {
+    "exact-maxsum": (_bilevel_call(ObjectiveKind.MAXSUM, "exact"),
+                     ObjectiveKind.MAXSUM),
+    "exact-maxminsum": (_bilevel_call(ObjectiveKind.MAXMINSUM, "exact"),
+                        ObjectiveKind.MAXMINSUM),
+    "enumerate-maxsum": (_bilevel_call(ObjectiveKind.MAXSUM, "enumerate"),
+                         None),
+    "enumerate_maxmin_optima": (lambda inst, m, budget: enumerate_maxmin_optima(
+        inst, m, budget=budget), None),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_D_STAR_CALLS))
+@pytest.mark.parametrize("family,n,m,seed", [
+    ("som", 24, 6, 1), ("gkd-d", 40, 6, 3), ("mdg", 30, 5, 2)])
+def test_max_nodes_covers_the_d_star_solve(call, family, n, m, seed):
+    def fresh():
+        return generate(GeneratorSpec(family=Family.from_string(family), n=n,
+                                      m=m, seed=seed))
+
+    run, kind = _D_STAR_CALLS[call]
+    base = solve_maxmin_improved(fresh(), m)
+    spent = base.stats.subsets_or_nodes_explored
+    # nodes of the subset walk alone
+    adj = build_threshold_graph(fresh(), base.value).adj
+    if kind is None:
+        walk = solvers._walk_subsets(None, adj, m, lambda chosen, cur: True)[0]
+    else:
+        walk = solvers._best_subset(fresh().distances.tolist(), adj, m, kind,
+                                    None, None)[2]
+    # the d* solve and the walk share one max_nodes: exactly their sum
+    # finishes, one less stops
+    run(fresh(), m, SolverBudget(max_nodes=spent + walk))
+    with pytest.raises(BudgetExceededError):
+        run(fresh(), m, SolverBudget(max_nodes=spent + walk - 1))
+    # a cached d* costs nothing
+    cached = fresh()
+    solve_maxmin_improved(cached, m)
+    run(cached, m, SolverBudget(max_nodes=walk))
+    with pytest.raises(BudgetExceededError):
+        run(cached, m, SolverBudget(max_nodes=walk - 1))
 
 
 def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
