@@ -27,8 +27,10 @@ smallest index tuple.
 
 from __future__ import annotations
 
+import threading
 import time
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -46,6 +48,14 @@ DEFAULT_OPTIMA_CAP = 100_000
 
 # Combinations the brute-force walk scores per numpy block.
 _BLOCK_ROWS = 4096
+
+# The brute-force walk unranks the lexicographic table of an (n, k) with at
+# most _TABLE_MAX_ROWS rows once and keeps it (_combination_table), holding
+# at most _TABLE_CACHE_ENTRIES tables and _TABLE_CACHE_BYTES bytes; larger
+# tables stream block by block.
+_TABLE_MAX_ROWS = 2 ** 17
+_TABLE_CACHE_ENTRIES = 32
+_TABLE_CACHE_BYTES = 2 ** 21
 
 # Subinterval exponent cap for the bisection method: spectra with a tiny
 # minimum gap would otherwise demand an absurd number of steps.
@@ -696,48 +706,148 @@ def _subset_sizes(instance: Instance, m: Optional[int],
     return [m], comb(n, m)
 
 
+def _unrank_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """combinations(range(n), k) in lexicographic order, as (rows, k) intp
+    index arrays of at most _BLOCK_ROWS rows, unranked in numpy.
+
+    Each block goes through the combinatorial number system (Knuth, TAOCP
+    4A, 7.2.1.3): lexicographic rank r of c is the colex rank
+    C(n, k) - 1 - r of the mirrored combination n - 1 - c, whose j-th
+    element is the largest x with C(x, k - j) <= the rank left by the
+    elements before it, found for all rows by one searchsorted.  Ranks are
+    int64, or Python ints in object arrays when C(n, k) does not fit.
+    """
+    total = comb(n, k)
+    dtype = np.int64 if total < 2 ** 63 else object
+    # the mirrored j-th element is at most n - 1 - j, and every
+    # C(x, k - j) up to there is below total
+    tables = [np.array([comb(x, k - j) for x in range(n - j)], dtype=dtype)
+              for j in range(k)]
+    for start in range(0, total, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, total)
+        rank = np.arange(total - 1 - start, total - 1 - stop, -1, dtype=dtype)
+        block = np.empty((stop - start, k), dtype=np.intp)
+        for j, table in enumerate(tables):
+            # mirrored element x - 1: largest y with C(y, k - j) <= rank
+            x = table.searchsorted(rank, side="right")
+            rank -= table[x - 1]
+            np.subtract(n, x, out=block[:, j])  # n - 1 - (x - 1)
+        yield block
+
+
+class _TableCache:
+    """(n, k) -> the read-only table of combinations(range(n), k), rows in
+    lexicographic order, in the smallest unsigned dtype that holds n - 1.
+
+    Each table is unranked once and kept until it is the least recently
+    used one and the cache holds more than _TABLE_CACHE_ENTRIES tables or
+    _TABLE_CACHE_BYTES bytes.  A lock guards the bookkeeping, so threads
+    may share the cache; two of them may unrank the same table at once.
+    """
+
+    def __init__(self) -> None:
+        self._tables: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __call__(self, n: int, k: int) -> np.ndarray:
+        key = (n, k)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+                return table
+        # filled block by block, so that no full-size intp copy is made
+        table = np.empty((comb(n, k), k), dtype=np.min_scalar_type(n - 1))
+        for start, block in zip(range(0, len(table), _BLOCK_ROWS),
+                                _unrank_blocks(n, k)):
+            table[start:start + _BLOCK_ROWS] = block
+        table.flags.writeable = False
+        with self._lock:
+            if key not in self._tables:
+                self._tables[key] = table
+                self.nbytes += table.nbytes
+            while (len(self._tables) > _TABLE_CACHE_ENTRIES
+                   or self.nbytes > _TABLE_CACHE_BYTES):
+                self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return table
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self.nbytes = 0
+
+
+_combination_table = _TableCache()
+
+
 def _combination_blocks(n: int, sizes: list[int]) -> Iterator[np.ndarray]:
     """combinations(range(n), size) for each size in turn, in lexicographic
     order, as (rows, size) intp index arrays of at most _BLOCK_ROWS rows.
 
-    Each block is unranked in numpy through the combinatorial number
-    system (Knuth, TAOCP 4A, 7.2.1.3): lexicographic rank r of c is the
-    colex rank C(n, k) - 1 - r of the mirrored combination n - 1 - c, whose
-    j-th element is the largest x with C(x, k - j) <= the rank left by the
-    elements before it, found for all rows by one searchsorted.  Ranks are
-    int64, or Python ints in object arrays when C(n, k) does not fit.
+    A size with at most _TABLE_MAX_ROWS combinations is sliced from its
+    (n, size) table, which is unranked once per process and reused
+    (_combination_table); a larger one is unranked block by block
+    (_unrank_blocks).  Both give the same blocks.
     """
     for k in sizes:
         total = comb(n, k)
-        dtype = np.int64 if total < 2 ** 63 else object
-        # the mirrored j-th element is at most n - 1 - j, and every
-        # C(x, k - j) up to there is below total
-        tables = [np.array([comb(x, k - j) for x in range(n - j)], dtype=dtype)
-                  for j in range(k)]
+        if total > _TABLE_MAX_ROWS:
+            yield from _unrank_blocks(n, k)
+            continue
+        table = _combination_table(n, k)
         for start in range(0, total, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, total)
-            rank = np.arange(total - 1 - start, total - 1 - stop, -1,
-                             dtype=dtype)
-            block = np.empty((stop - start, k), dtype=np.intp)
-            for j, table in enumerate(tables):
-                # mirrored element x - 1: largest y with C(y, k - j) <= rank
-                x = table.searchsorted(rank, side="right")
-                rank -= table[x - 1]
-                np.subtract(n, x, out=block[:, j])  # n - 1 - (x - 1)
-            yield block
+            yield table[start:start + _BLOCK_ROWS].astype(np.intp)
+
+
+class _Incumbent:
+    """The best score of a brute-force walk and the lexicographically
+    smallest subset attaining it."""
+
+    def __init__(self, sense_max: bool) -> None:
+        self.sense_max = sense_max
+        self.value: Optional[float] = None
+        self.combo: Optional[tuple[int, ...]] = None
+
+    def offer(self, block: np.ndarray, scores: np.ndarray) -> bool:
+        """Take the block's best row if it beats the incumbent; True when
+        the best value changed."""
+        # rows come in combination order, so the first row attaining the
+        # block's best is its lexicographically smallest
+        row = int(scores.argmax() if self.sense_max else scores.argmin())
+        val, combo = float(scores[row]), tuple(block[row].tolist())
+        if (self.value is None
+                or (val > self.value if self.sense_max else val < self.value)
+                or (val == self.value and combo < self.combo)):
+            changed = val != self.value
+            self.value, self.combo = val, combo
+            return changed
+        return False
+
+
+def _scored_blocks(instance: Instance, sizes: list[int], kind: ObjectiveKind,
+                   deadline: Optional[float]
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of the brute-force walk with its scores.  Past the
+    deadline, raises _Exhausted before any block after the first."""
+    for i, block in enumerate(_combination_blocks(instance.n, sizes)):
+        if i and deadline is not None and time.perf_counter() > deadline:
+            raise _Exhausted
+        yield block, _score_block(instance.distances, block, kind)
 
 
 def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 budget: Optional[SolverBudget] = None) -> SolveResult:
     """Exhaustive oracle: every m-subset (every subset for MaxMean).
 
-    _combination_blocks unranks the subsets in numpy, in lexicographic
-    order, in blocks of up to _BLOCK_ROWS (with Python-int ranks once the
-    count passes int64).  _score_block scores each block; its values equal
-    the per-subset reference _score_plain bit for bit.  Refuses upfront
-    (status BudgetExceeded) when the subset count, C(n, m) or 2^n - 1 for
-    MaxMean, exceeds the budget.  The time limit is checked before each block
-    after the first.  Ties go to the lexicographically smallest index tuple.
+    _combination_blocks hands out the subsets in lexicographic order, in
+    blocks of up to _BLOCK_ROWS, from an (n, k) table unranked once per
+    process when C(n, k) <= _TABLE_MAX_ROWS (2^17) and unranked block by
+    block past that.  _score_block scores each block; its values equal the
+    per-subset reference _score_plain bit for bit.  Refuses upfront (status
+    BudgetExceeded) when the subset count, C(n, m) or 2^n - 1 for MaxMean,
+    exceeds the budget.  The time limit is checked before each block after
+    the first.  Ties go to the lexicographically smallest index tuple.
     """
     budget = budget or _NO_BUDGET
     start = time.perf_counter()
@@ -746,38 +856,21 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
         stats = SearchStats(wall_time=time.perf_counter() - start)
         return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None, stats)
 
-    D = instance.distances
-    sense_max = kind.sense is Sense.MAX
-    best_val: Optional[float] = None
-    best_combo: Optional[tuple[int, ...]] = None
+    best = _Incumbent(kind.sense is Sense.MAX)
     explored = 0
-    deadline = budget.deadline(start)
     timed_out = False
-
-    def better(val: float, combo: tuple[int, ...]) -> bool:
-        if best_val is None:
-            return True
-        if val != best_val:
-            return (val > best_val) if sense_max else (val < best_val)
-        return combo < best_combo
-
-    for block in _combination_blocks(instance.n, sizes):
-        if explored and deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
-        scores = _score_block(D, block, kind)
-        explored += len(block)
-        # rows come in combination order, so the first row attaining the
-        # block's best is its lexicographically smallest
-        row = int(scores.argmax() if sense_max else scores.argmin())
-        val, combo = float(scores[row]), tuple(block[row].tolist())
-        if better(val, combo):
-            best_val, best_combo = val, combo
+    try:
+        for block, scores in _scored_blocks(instance, sizes, kind,
+                                            budget.deadline(start)):
+            explored += len(block)
+            best.offer(block, scores)
+    except _Exhausted:
+        timed_out = True
 
     stats = SearchStats(subsets_or_nodes_explored=explored,
                         wall_time=time.perf_counter() - start)
     status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
-    sol = Solution(best_combo)
+    sol = Solution(best.combo)
     return SolveResult(kind, status, sol, evaluate(kind, instance, sol), stats)
 
 
@@ -858,30 +951,59 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     Sum-type values match the optimum within relative tolerance
     ``_OPTIMA_REL_TOL``; MaxMin matches exactly (delegated to the
     threshold enumeration, which scales past brute force).
+
+    One brute-force walk scores every subset once.  It keeps the rows whose
+    score is within twice the tolerance of the running best; whether a row
+    is optimal is monotone in its score, so it also drops a row once cap + 1
+    earlier kept rows score at least as well.  The optimum is the evaluated
+    brute-force incumbent, and the kept rows within tolerance of it are the
+    optima.  Raises BudgetExceededError when the subset count exceeds
+    max_subsets or the time limit passes before the walk ends.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     if kind is ObjectiveKind.MAXMIN:
         return enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
     budget = budget or _NO_BUDGET
-    base = brute_force(instance, m, kind, budget)
-    if base.status is SolveStatus.BUDGET_EXCEEDED:
+    start = time.perf_counter()
+    sizes, total = _subset_sizes(instance, m, kind)
+    if budget.max_subsets is not None and total > budget.max_subsets:
         raise BudgetExceededError("enumeration bound exceeds budget")
-    if base.status is not SolveStatus.OPTIMAL:
-        raise BudgetExceededError("optimum not proven within time budget")
-    opt = base.value
+    sense_max = kind.sense is Sense.MAX
+    best = _Incumbent(sense_max)
+    # (gain, score, subset) in walk order; gain is the score, negated when
+    # minimising, so a higher gain is always better
+    kept: list[tuple[float, float, list[int]]] = []
+    floor = -inf  # lowest gain within twice the tolerance of the best
+    cap_floor: Optional[float] = None  # lowest gain of kept[:cap + 1]
+    try:
+        for block, scores in _scored_blocks(instance, sizes, kind,
+                                            budget.deadline(start)):
+            if best.offer(block, scores):
+                top = best.value if sense_max else -best.value
+                floor = top - 2 * _OPTIMA_REL_TOL * max(1.0, abs(top))
+                kept = [row for row in kept if row[0] >= floor]
+                cap_floor = None
+            gains = scores if sense_max else -scores
+            keep = gains >= floor
+            if cap_floor is not None:
+                keep &= gains > cap_floor
+            rows = np.flatnonzero(keep)
+            kept.extend(zip(gains[rows].tolist(), scores[rows].tolist(),
+                            block[rows].tolist()))
+            if cap_floor is None and len(kept) > cap:
+                cap_floor = min(row[0] for row in kept[:cap + 1])
+                kept[cap + 1:] = [row for row in kept[cap + 1:]
+                                  if row[0] > cap_floor]
+    except _Exhausted:
+        raise BudgetExceededError(
+            "optimum not proven within time budget") from None
+    opt = evaluate(kind, instance, Solution(best.combo))
     tol = _OPTIMA_REL_TOL * max(1.0, abs(opt))
-    sizes, _ = _subset_sizes(instance, m, kind)
-    found: list[Solution] = []
-    for block in _combination_blocks(instance.n, sizes):
-        hits = np.abs(_score_block(instance.distances, block, kind) - opt) <= tol
-        for row in np.flatnonzero(hits):
-            if len(found) == cap:
-                return OptimaEnumeration(solutions=tuple(found),
-                                         truncated=True, value=opt)
-            found.append(Solution(block[row].tolist()))
-    return OptimaEnumeration(solutions=tuple(found), truncated=False,
-                             value=opt)
+    found = [Solution(nodes) for _, score, nodes in kept
+             if abs(score - opt) <= tol]
+    return OptimaEnumeration(solutions=tuple(found[:cap]),
+                             truncated=len(found) > cap, value=opt)
 
 
 def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,

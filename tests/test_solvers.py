@@ -3,6 +3,9 @@ import gc
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -20,8 +23,9 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
 from divopt import solvers
 from divopt.instances import truncate
-from divopt.solvers import (_BLOCK_ROWS, _bits_to_nodes, _clique_cover_size,
-                            _combination_blocks, _max_degree, _reduce_forced,
+from divopt.solvers import (_BLOCK_ROWS, _TABLE_MAX_ROWS, _bits_to_nodes,
+                            _clique_cover_size, _combination_blocks,
+                            _combination_table, _max_degree, _reduce_forced,
                             _score_block, _score_plain,
                             _sum_completion_bound)
 
@@ -367,6 +371,154 @@ def test_combination_blocks_past_int64():
     assert 0 < res.stats.subsets_or_nodes_explored <= _BLOCK_ROWS
 
 
+def _spy_unrank(monkeypatch):
+    """Record (n, k) of every _unrank_blocks call."""
+    calls = []
+    unrank = solvers._unrank_blocks
+
+    def spy(n, k):
+        calls.append((n, k))
+        return unrank(n, k)
+
+    monkeypatch.setattr(solvers, "_unrank_blocks", spy)
+    return calls
+
+
+def _assert_same_blocks_twice(n, k):
+    ref = list(_itertools_blocks(n, [k]))
+    for _ in range(2):
+        got = list(_combination_blocks(n, [k]))
+        assert [b.shape for b in got] == [b.shape for b in ref], (n, k)
+        for block, want_block in zip(got, ref):
+            assert block.dtype == np.intp
+            assert np.array_equal(block, want_block), (n, k)
+
+
+def test_combination_blocks_at_the_table_row_cap(monkeypatch):
+    # C(n, 1) = n: n = cap is unranked once and kept, n = cap + 1 is
+    # unranked on each walk
+    _combination_table.cache_clear()
+    calls = _spy_unrank(monkeypatch)
+    _assert_same_blocks_twice(_TABLE_MAX_ROWS, 1)
+    _assert_same_blocks_twice(_TABLE_MAX_ROWS + 1, 1)
+    assert calls == [(_TABLE_MAX_ROWS, 1)] + [(_TABLE_MAX_ROWS + 1, 1)] * 2
+    # several columns, with the cap moved onto C(20, 6) = 38760
+    _combination_table.cache_clear()
+    calls.clear()
+    rows = math.comb(20, 6)
+    monkeypatch.setattr(solvers, "_TABLE_MAX_ROWS", rows)
+    _assert_same_blocks_twice(20, 6)
+    monkeypatch.setattr(solvers, "_TABLE_MAX_ROWS", rows - 1)
+    _assert_same_blocks_twice(20, 6)
+    assert calls == [(20, 6)] * 3
+    _combination_table.cache_clear()
+
+
+def test_combination_tables_are_read_only():
+    table = _combination_table(10, 3)
+    assert table.dtype == np.uint8
+    assert table.shape == (120, 3)
+    with pytest.raises(ValueError):
+        table[0, 0] = 9
+    # handed-out blocks are copies: writing into one leaves the table as is
+    block = next(_combination_blocks(10, [3]))
+    block[:] = 0
+    assert np.array_equal(next(_combination_blocks(10, [3])),
+                          next(_itertools_blocks(10, [3])))
+    assert _combination_table(300, 1).dtype == np.uint16
+
+
+def test_combination_tables_unranked_once_per_process(monkeypatch):
+    # one MaxMean n=14 walk (14 tables) then a (25, 5) solve, twice over
+    _combination_table.cache_clear()
+    calls = _spy_unrank(monkeypatch)
+    small = _tie_heavy(3, 14, [1.0, 2.0])
+    inst = generate(GeneratorSpec(family=Family.MDG, n=25, m=5, seed=0))
+    for _ in range(2):
+        brute_force(small, None, ObjectiveKind.MAXMEAN)
+        brute_force(inst, 5, ObjectiveKind.MINDIFF)
+    assert calls == [(14, k) for k in range(1, 15)] + [(25, 5)]
+    # the model-compare tables stay under half a MiB
+    assert _combination_table.nbytes == 14 * 2 ** 13 + 5 * math.comb(25, 5)
+    assert _combination_table.nbytes <= 2 ** 19
+
+
+def test_combination_table_cache_is_bounded(monkeypatch):
+    _combination_table.cache_clear()
+    calls = _spy_unrank(monkeypatch)
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_ENTRIES", 2)
+    for k in (2, 3, 2, 4, 2, 3):
+        _combination_table(12, k)
+    # (12, 3) is the least recently used when (12, 4) comes in
+    assert [k for _, k in calls] == [2, 3, 4, 3]
+    _combination_table.cache_clear()
+    calls.clear()
+    # C(12, 4) = 495 rows of 4 bytes: a byte bound of 2000 holds one
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_ENTRIES", 32)
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_BYTES", 2000)
+    for k in (4, 4, 8, 4):
+        _combination_table(12, k)
+    assert [k for _, k in calls] == [4, 8, 4]
+    assert _combination_table.nbytes == 4 * 495
+    _combination_table.cache_clear()
+
+
+def test_combination_table_cache_shared_by_threads(monkeypatch):
+    # more threads than cores walk tables that evict each other
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_ENTRIES", 3)
+    _combination_table.cache_clear()
+    cases = [(n, k) for n in (9, 10, 11) for k in (2, 3, 4)]
+    want = {(n, k): np.concatenate(list(_itertools_blocks(n, [k])))
+            for n, k in cases}
+    errors = []
+
+    def walk(offset):
+        try:
+            for i in range(40):
+                n, k = cases[(i + offset) % len(cases)]
+                got = np.concatenate(list(_combination_blocks(n, [k])))
+                if not np.array_equal(got, want[n, k]):
+                    errors.append((n, k))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    held = _combination_table._tables
+    assert len(held) <= 3
+    assert _combination_table.nbytes == sum(t.nbytes for t in held.values())
+    _combination_table.cache_clear()
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_brute_force_same_after_cache_clear(kind):
+    def run():
+        out = []
+        for inst in _brute_force_cases():
+            m = 5
+            if kind is ObjectiveKind.MAXMEAN:
+                m, inst = None, truncate(inst, min(inst.n, 14))
+            res = brute_force(inst, m, kind)
+            out.append((res.status, res.value.hex(), tuple(res.solution),
+                        res.stats.subsets_or_nodes_explored))
+        return out
+
+    warm = run()
+    assert run() == warm
+    _combination_table.cache_clear()
+    assert run() == warm
+
+
 def _brute_force_cases():
     ties = [_tie_heavy(3, 16, values) for values in TIE_VALUES]
     generated = [generate(GeneratorSpec(family=fam, n=25, m=5, seed=seed))
@@ -433,6 +585,75 @@ def test_enumerate_optima_budgets(t4):
     en = enumerate_optima(t4, 3, ObjectiveKind.MAXSUM,
                           budget=SolverBudget(max_subsets=4))
     assert [tuple(s) for s in en.solutions] == [(1, 2, 3)]
+
+
+def test_enumerate_optima_checks_the_deadline_between_blocks(monkeypatch):
+    # C(16, 5) = 4368 subsets make two blocks; the clock passes the
+    # deadline right after the start, so only the first block is scored
+    clock = iter(itertools.chain([0.0], itertools.repeat(5.0)))
+    monkeypatch.setattr(solvers, "time",
+                        types.SimpleNamespace(perf_counter=lambda: next(clock)))
+    scored = []
+    score = solvers._score_block
+
+    def spy(D, block, kind):
+        scored.append(len(block))
+        return score(D, block, kind)
+
+    monkeypatch.setattr(solvers, "_score_block", spy)
+    inst = _tie_heavy(3, 16, [1.0, 2.0])
+    with pytest.raises(BudgetExceededError, match="not proven within time"):
+        enumerate_optima(inst, 5, ObjectiveKind.MAXSUM,
+                         budget=SolverBudget(time_limit=1.0))
+    assert scored == [_BLOCK_ROWS]
+    # a one-block walk is never stopped
+    clock = iter(itertools.chain([0.0], itertools.repeat(5.0)))
+    en = enumerate_optima(_tie_heavy(3, 9, [1.0, 2.0]), 4,
+                          ObjectiveKind.MAXSUM,
+                          budget=SolverBudget(time_limit=1.0))
+    assert en.solutions
+
+
+def _two_walk_enumerate_optima(instance, m, kind, cap):
+    """enumerate_optima as it was before it took one walk: brute force for
+    the optimum, then a second walk for every row within tolerance."""
+    opt = brute_force(instance, m, kind).value
+    tol = solvers._OPTIMA_REL_TOL * max(1.0, abs(opt))
+    sizes = range(1, instance.n + 1) if m is None else [m]
+    found = []
+    for block in _itertools_blocks(instance.n, sizes):
+        hits = np.abs(_score_block(instance.distances, block, kind) - opt) <= tol
+        for row in np.flatnonzero(hits):
+            if len(found) == cap:
+                return found, True, opt
+            found.append(tuple(block[row].tolist()))
+    return found, False, opt
+
+
+# distances 1e-9 apart put subset scores inside and just outside the
+# tolerance of the optimum
+NEAR_TIE_VALUES = [1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 3e-9]
+
+
+@pytest.mark.parametrize("kind", [ObjectiveKind.MAXSUM,
+                                  ObjectiveKind.MAXMINSUM,
+                                  ObjectiveKind.MINDIFF,
+                                  ObjectiveKind.MAXMEAN])
+@pytest.mark.parametrize("values", TIE_VALUES + [[1.0, 2.0], [1.0],
+                                                 NEAR_TIE_VALUES])
+def test_enumerate_optima_one_walk_same_as_two_walks(kind, values):
+    # n = 16, m = 5 is 4368 subsets, past one block; MaxMean takes n = 12
+    cases = [(16, 5), (11, 4)] if kind is not ObjectiveKind.MAXMEAN else \
+        [(12, None), (8, None)]
+    for seed in range(3):
+        for n, m in cases:
+            inst = _tie_heavy(seed, n, values)
+            for cap in (1, 2, 7, 100, solvers.DEFAULT_OPTIMA_CAP):
+                en = enumerate_optima(inst, m, kind, cap=cap)
+                want = _two_walk_enumerate_optima(inst, m, kind, cap)
+                got = ([tuple(s) for s in en.solutions], en.truncated,
+                       en.value)
+                assert got == want, (seed, n, m, cap)
 
 
 def test_maxsum_bnb_t4(t4):
