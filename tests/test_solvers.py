@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -656,6 +657,17 @@ def test_enumerate_optima_one_walk_same_as_two_walks(kind, values):
                 assert got == want, (seed, n, m, cap)
 
 
+def test_maxmean_optima_listed_by_size_then_lexicographically():
+    # enumerate_optima lists MaxMean optima size by size, so its first
+    # optimum here is not brute_force's, which takes the smaller tuple
+    inst = _tie_heavy(2, 6, [0.0, 1.0, 2.0])
+    en = enumerate_optima(inst, None, ObjectiveKind.MAXMEAN)
+    assert [tuple(s) for s in en] == [(0, 1, 4, 5), (0, 1, 2, 4, 5)]
+    assert en.value == 2.0 and not en.truncated
+    res = brute_force(inst, None, ObjectiveKind.MAXMEAN)
+    assert (tuple(res.solution), res.value) == ((0, 1, 2, 4, 5), 2.0)
+
+
 def test_maxsum_bnb_t4(t4):
     res = solve_maxsum_bnb(t4, 3)
     assert res.status is SolveStatus.OPTIMAL
@@ -1062,10 +1074,14 @@ def test_max_nodes_covers_the_d_star_solve(call, family, n, m, seed):
 
 
 def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
-                            deadline=None):
+                            deadline=None, cover_skip=True):
     # _walk_subsets as it was before it looked for a live child first: every
-    # inner node builds its gains and asks prune before it scans children
+    # inner node builds its gains and asks prune before it scans children.
+    # A walk without prune skips a child that needs 2 or more picks when
+    # a greedy clique cover of its candidates has fewer cliques;
+    # cover_skip=False gives the walk as it was before that skip
     nodes = 0
+    n = len(adj)
 
     def rec(cand, chosen, cur):
         nonlocal nodes
@@ -1094,7 +1110,9 @@ def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
                 break
             v = low.bit_length() - 1
             child = scan & ~adj[v]
-            if child.bit_count() >= need - 1:
+            dead = (cover_skip and prune is None and need - 1 >= 2
+                    and _clique_cover_size(child, adj, n) < need - 1)
+            if child.bit_count() >= need - 1 and not dead:
                 chosen.append(v)
                 keep = rec(child, chosen,
                            cur if gains is None else cur + gains[i])
@@ -1156,6 +1174,14 @@ def _walk_log(monkeypatch, walk, call):
     return out, leaves
 
 
+def _listing_walk(walk, adj, m):
+    # (nodes, exhausted, leaves) of a prune-less walk that lists every leaf
+    leaves = []
+    nodes, exhausted = walk(None, adj, m, lambda chosen, cur:
+                            leaves.append(tuple(chosen)) or True)
+    return nodes, exhausted, leaves
+
+
 # (family, n, m, seed): MaxSum B&B runs on the small ones only; the last
 # four are model-compare's exact bi-level corpus
 WALKER_DIFF_SMALL = [("gkd-d", 12, 4, 0), ("gkd", 16, 4, 1), ("mdg", 18, 5, 2),
@@ -1198,6 +1224,76 @@ def test_walker_same_as_reference_walker(monkeypatch, spec):
         assert got == want, max_nodes
         # unbounded, it lists the MaxMin witness at least
         assert got[1] or max_nodes is not None
+    # the cover skip leaves out dead ends only: the unpruned walk lists the
+    # same leaves in the same order, over at least as many nodes
+    nodes, _, leaves = _listing_walk(solvers._walk_subsets, g_star, m)
+    old_nodes, _, old_leaves = _listing_walk(
+        partial(_reference_walk_subsets, cover_skip=False), g_star, m)
+    assert leaves == old_leaves and nodes <= old_nodes
+
+
+# (family, n, m, seed): nodes of the MaxMin enumeration walk on G(d*)
+# before and after its clique-cover skip, and the optima it lists; the
+# second instance is the one the CI example step solves
+LISTING_WALK_PINS = [(("gkd-d", 60, 8, 0), 13_465, 537, 77),
+                     (("gkd-d", 40, 6, 3), 697, 202, 45)]
+
+
+@pytest.mark.parametrize("spec,unpruned,pruned,optima", LISTING_WALK_PINS)
+def test_listing_walk_nodes_pinned(spec, unpruned, pruned, optima):
+    family, n, m, seed = spec
+    inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
+                                  seed=seed))
+    adj = build_threshold_graph(inst, solve_maxmin_improved(inst, m).value).adj
+    nodes, exhausted, leaves = _listing_walk(solvers._walk_subsets, adj, m)
+    old_nodes, _, old_leaves = _listing_walk(
+        partial(_reference_walk_subsets, cover_skip=False), adj, m)
+    assert (old_nodes, nodes, len(leaves)) == (unpruned, pruned, optima)
+    assert leaves == old_leaves and not exhausted
+
+
+def test_listing_walk_equals_combination_filter():
+    # seeded random graphs: the pruned listing is the independent m-sets,
+    # in itertools.combinations order
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        n = int(rng.integers(2, 23))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.8), 1)
+        closer = upper | upper.T
+        adj = tuple(sum(1 << int(j) for j in np.flatnonzero(row))
+                    for row in closer)
+        for m in range(2, min(n, 6) + 1):
+            combos = np.array(list(itertools.combinations(range(n), m)))
+            clash = np.zeros(len(combos), dtype=bool)
+            for a, b in itertools.combinations(range(m), 2):
+                clash |= closer[combos[:, a], combos[:, b]]
+            want = [tuple(c) for c in combos[~clash].tolist()]
+            _, exhausted, got = _listing_walk(solvers._walk_subsets, adj, m)
+            assert got == want, (n, m)
+            assert not exhausted
+
+
+def test_enumerate_bilevel_budget_is_d_star_plus_walk_nodes():
+    # the CI example's instance: d* takes 521 nodes and the listing walk
+    # 202, so a budget of 723 finishes with the exact-mode subset and 722
+    # stops in the walk at its 202nd node
+    def fresh():
+        return generate(GeneratorSpec(family=Family.from_string("gkd-d"),
+                                      n=40, m=6, seed=3))
+
+    base = solve_maxmin_improved(fresh(), 6)
+    adj = build_threshold_graph(fresh(), base.value).adj
+    spent = base.stats.subsets_or_nodes_explored
+    walk = _listing_walk(solvers._walk_subsets, adj, 6)[0]
+    assert (spent, walk) == (521, 202)
+    exact = solve_bilevel(fresh(), 6, ObjectiveKind.MAXSUM, mode="exact")
+    res = solve_bilevel(fresh(), 6, ObjectiveKind.MAXSUM, mode="enumerate",
+                        budget=SolverBudget(max_nodes=spent + walk))
+    assert res.chosen == exact.chosen and res.optima_enumerated == 45
+    with pytest.raises(BudgetExceededError,
+                       match=f"exceeded budget after {walk} nodes"):
+        solve_bilevel(fresh(), 6, ObjectiveKind.MAXSUM, mode="enumerate",
+                      budget=SolverBudget(max_nodes=spent + walk - 1))
 
 
 # ---------------------------------------------------------------------------
