@@ -132,7 +132,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         status = SolveStatus.FEASIBLE if res.truncated else SolveStatus.OPTIMAL
         print(f"status {status.value}")
         print(f"d_star {_value_str(res.d_star)}")
-        print(f"optima {res.optima_enumerated}")
+        # exact mode counts the leaves its bound let through, not optima
+        label = "optima" if args.mode == "enumerate" else "leaves"
+        print(f"{label} {res.optima_enumerated}")
         print(f"truncated {'true' if res.truncated else 'false'}")
         print(f"value {_value_str(res.upper_value)}")
         print(f"subset {_subset_str(res.chosen)}")

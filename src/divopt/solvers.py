@@ -33,7 +33,6 @@ from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from math import ceil, comb, inf, isnan, log2
 from operator import add, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -101,12 +100,15 @@ class SolverBudget:
     """Limits for one solver call; None means unlimited.
 
     ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
-    backtracking searches and ``time_limit`` the wall clock (seconds), each
-    over the whole call: all probes of a MaxMin solve, and the d* solve
-    plus the subset walk of solve_bilevel and enumerate_maxmin_optima.  The
-    subset walk counts only visited nodes: a branch with too few candidates,
-    or in a walk with no bound one whose clique cover rules out an
-    independent completion, is skipped unvisited and costs nothing.
+    backtracking searches and ``time_limit`` the wall clock (seconds).
+    Each limit holds over the whole call, however many searches it makes:
+    all probes of a MaxMin solve, and the d* solve plus the subset walk of
+    solve_bilevel and enumerate_maxmin_optima.  _Spend implements this
+    rule: a call charges every search to one ledger, and each search gets
+    what the ones before it left.  The subset walk counts only visited
+    nodes: a branch with too few candidates, or in a walk with no bound one
+    whose clique cover rules out an independent completion, is skipped
+    unvisited and costs nothing.
     """
 
     max_subsets: Optional[int] = None
@@ -116,7 +118,12 @@ class SolverBudget:
     def __post_init__(self) -> None:
         for name in ("max_subsets", "max_nodes", "time_limit"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is None:
+                continue
+            if name != "time_limit" and (isinstance(v, bool)
+                                         or not isinstance(v, int)):
+                raise ValueError(f"budget field {name} must be an int, got {v!r}")
+            if not v > 0:  # NaN too, which compares false with every limit
                 raise ValueError(f"budget field {name} must be positive, got {v}")
 
     def deadline(self, start: float) -> Optional[float]:
@@ -157,7 +164,8 @@ class BiLevelResult:
     """A bi-level solve's choice.  optima_enumerated is the number of MaxMin
     optima listed in enumerate mode, but the number of leaves the bound let
     through and scored in exact mode, which can be far fewer (10 against
-    77 optima for MaxSum on gkd-d n60 m8 seed 0)."""
+    77 optima for MaxSum on gkd-d n60 m8 seed 0); divopt solve labels it
+    ``optima`` or ``leaves`` accordingly."""
 
     d_star: float
     optima_enumerated: int
@@ -495,32 +503,79 @@ def max_packing(instance: Instance, l: float,
                        float(len(witness)), stats)
 
 
-def _maxmin_result(instance: Instance, m: int, status: SolveStatus,
-                   witness: Optional[Solution],
-                   stats: SearchStats) -> SolveResult:
+class _Spend:
+    """The ledger of one solver call's budget: every search the call makes
+    is charged to it, so each limit holds over the whole call."""
+
+    def __init__(self, budget: Optional[SolverBudget]) -> None:
+        self.budget = budget or _NO_BUDGET
+        self.start = time.perf_counter()
+        self.deadline = self.budget.deadline(self.start)
+        self.nodes = 0
+        self.calls = 0
+
+    def left(self) -> Optional[SolverBudget]:
+        """The budget left for the next search; None once it ran out."""
+        max_nodes, time_limit = self.budget.max_nodes, self.budget.time_limit
+        if max_nodes is not None:
+            max_nodes -= self.nodes
+        if time_limit is not None:
+            time_limit -= time.perf_counter() - self.start
+        if any(left is not None and left <= 0 for left in (max_nodes, time_limit)):
+            return None
+        return replace(self.budget, max_nodes=max_nodes, time_limit=time_limit)
+
+    def run(self, search: Callable[..., SolveResult],
+            *args) -> Optional[SolveResult]:
+        """search(*args, budget left), charged here; None, without a call,
+        once nothing is left."""
+        left = self.left()
+        if left is None:
+            return None
+        result = search(*args, left)
+        self.calls += 1
+        self.nodes += result.stats.subsets_or_nodes_explored
+        return result
+
+
+def _maxmin_result(instance: Instance, m: int, optimal: bool,
+                   witness: Optional[Solution], spend: _Spend,
+                   trace: Sequence[tuple], q_used: Optional[int] = None,
+                   ) -> SolveResult:
     # without a witness the first m nodes stand in: every m-subset scores at
     # least d_min, and exactly d_min when that is the optimum
     if witness is None:
         witness = Solution(range(m))
     value = eval_maxmin(instance, witness)
-    if status is SolveStatus.OPTIMAL:
-        instance._maxmin[m] = value  # read back by _maxmin_optimum only
+    if optimal:
+        instance._maxmin[m] = value  # read back by _optimum_graph only
+    stats = SearchStats(subsets_or_nodes_explored=spend.nodes,
+                        decision_solves=spend.calls,
+                        wall_time=time.perf_counter() - spend.start,
+                        trace=tuple(trace), q_used=q_used)
+    status = SolveStatus.OPTIMAL if optimal else SolveStatus.FEASIBLE
     return SolveResult(ObjectiveKind.MAXMIN, status, witness, value, stats)
 
 
-def _maxmin_optimum(instance: Instance, m: int,
-                    budget: SolverBudget) -> tuple[float, int]:
-    """The MaxMin optimum d* of (instance, m) and the nodes spent on it: the
-    cached proven value at no cost, or one solve_maxmin_improved call, which
-    caches it.  Raises BudgetExceededError when the solve stops before it
-    proves the optimum."""
+def _optimum_graph(instance: Instance, m: int, spend: _Spend,
+                   ) -> tuple[float, tuple[int, ...], Optional[int]]:
+    """(d*, adjacency of G(d*), max_nodes left for a walk on it).
+
+    d* is the MaxMin optimum of (instance, m): the proven value cached on
+    the instance at no cost, or one solve_maxmin_improved call charged to
+    spend, which caches it.  Raises BudgetExceededError when that solve
+    stops before it proves d*, or leaves nothing for the walk.
+    """
     d_star = instance._maxmin.get(m)
-    if d_star is not None:
-        return d_star, 0
-    base = solve_maxmin_improved(instance, m, budget)
-    if base.status is not SolveStatus.OPTIMAL:
-        raise BudgetExceededError("MaxMin optimum not proven within budget")
-    return base.value, base.stats.subsets_or_nodes_explored
+    if d_star is None:
+        base = spend.run(solve_maxmin_improved, instance, m)
+        if base is None or base.status is not SolveStatus.OPTIMAL:
+            raise BudgetExceededError("MaxMin optimum not proven within budget")
+        d_star = base.value
+    left = spend.left()
+    if left is None:
+        raise BudgetExceededError("budget exhausted before the subset walk")
+    return d_star, build_threshold_graph(instance, d_star).adj, left.max_nodes
 
 
 def solve_maxmin_improved(instance: Instance, m: int,
@@ -533,53 +588,25 @@ def solve_maxmin_improved(instance: Instance, m: int,
     Decision count is at most ceil(log2(#distinct)) + 1.
     """
     _validate_m(instance, m)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     values = spectrum_stats(instance).distinct_values
     lo, hi = 0, len(values)  # values[lo] feasible; index hi infeasible
     witness: Optional[Solution] = None
-    solves = 0
-    nodes = 0
     trace: list[tuple[float, bool]] = []
-    exhausted = False
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        remaining = _remaining_budget(budget, start, nodes)
-        if remaining is None:
-            exhausted = True
+        probe = spend.run(feasible_subset, instance, values[mid], m)
+        if probe is None or probe.status is SolveStatus.BUDGET_EXCEEDED:
             break
-        probe = feasible_subset(instance, values[mid], m, remaining)
-        solves += 1
-        nodes += probe.stats.subsets_or_nodes_explored
-        if probe.status == SolveStatus.BUDGET_EXCEEDED:
-            exhausted = True
-            break
-        ok = probe.status == SolveStatus.FEASIBLE
+        ok = probe.status is SolveStatus.FEASIBLE
         trace.append((values[mid], ok))
         if ok:
             lo = mid
             witness = probe.solution
         else:
             hi = mid
-    stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=solves,
-                        trace=tuple(trace))
-    status = SolveStatus.FEASIBLE if exhausted else SolveStatus.OPTIMAL
-    result = _maxmin_result(instance, m, status, witness, stats)
-    stats.wall_time = time.perf_counter() - start
-    return result
-
-
-def _remaining_budget(budget: SolverBudget, start: float,
-                      nodes: int) -> Optional[SolverBudget]:
-    """Budget left after nodes explored since start; None once it ran out."""
-    max_nodes, time_limit = budget.max_nodes, budget.time_limit
-    if max_nodes is not None:
-        max_nodes -= nodes
-    if time_limit is not None:
-        time_limit -= time.perf_counter() - start
-    if any(left is not None and left <= 0 for left in (max_nodes, time_limit)):
-        return None
-    return replace(budget, max_nodes=max_nodes, time_limit=time_limit)
+    # a budget stop leaves the bracket open
+    return _maxmin_result(instance, m, hi - lo == 1, witness, spend, trace)
 
 
 def default_subinterval_exponent(instance: Instance) -> Optional[int]:
@@ -603,41 +630,31 @@ def solve_maxmin_original(instance: Instance, m: int,
     If the capped q runs out first the incumbent is returned as Feasible.
     """
     _validate_m(instance, m)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     st = spectrum_stats(instance)
     values = st.distinct_values
     gap = st.min_positive_gap
     if gap is None:
         # flat spectrum: every m-subset scores d_min
-        stats = SearchStats(wall_time=time.perf_counter() - start, q_used=None)
-        return _maxmin_result(instance, m, SolveStatus.OPTIMAL, None, stats)
+        return _maxmin_result(instance, m, True, None, spend, ())
     q = default_subinterval_exponent(instance)
     lo = st.d_min
     hi = st.d_max + gap  # strictly above the optimum by construction
     witness: Optional[Solution] = None
-    solves = 0
-    nodes = 0
     trace: list[tuple[float, int, bool]] = []
-    exhausted = False
 
     def values_in_bracket() -> int:
         return bisect_left(values, hi) - bisect_left(values, lo)
 
-    while values_in_bracket() > 1 and solves <= q:
+    while values_in_bracket() > 1 and spend.calls <= q:
         mid = (lo + hi) / 2.0
-        remaining = _remaining_budget(budget, start, nodes)
-        if remaining is None:
-            exhausted = True
+        pack = spend.run(max_packing, instance, mid)
+        if pack is None:
             break
-        pack = max_packing(instance, mid, remaining)
-        solves += 1
-        nodes += pack.stats.subsets_or_nodes_explored
         size = int(pack.value)
         feasible = size >= m
-        if not feasible and pack.status != SolveStatus.OPTIMAL:
+        if not feasible and pack.status is not SolveStatus.OPTIMAL:
             # a stopped packing below m decides nothing
-            exhausted = True
             break
         # a stopped packing of size >= m still proves feasibility at mid
         trace.append((mid, size, feasible))
@@ -646,14 +663,10 @@ def solve_maxmin_original(instance: Instance, m: int,
             witness = Solution(pack.solution.nodes[:m])
         else:
             hi = mid
-    stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=solves,
-                        wall_time=time.perf_counter() - start,
-                        trace=tuple(trace), q_used=q)
-    # without a single value isolated, the incumbent is only a bound
-    isolated = not exhausted and values_in_bracket() == 1
-    result = _maxmin_result(
-        instance, m, SolveStatus.OPTIMAL if isolated else SolveStatus.FEASIBLE,
-        witness, stats)
+    # a budget stop breaks before lo or hi moves; without a single value
+    # isolated, the incumbent is only a bound
+    isolated = values_in_bracket() == 1
+    result = _maxmin_result(instance, m, isolated, witness, spend, trace, q)
     # the isolated bracket pins the witness's min distance to the optimum
     assert not isolated or result.value == values[bisect_left(values, lo)]
     return result
@@ -681,22 +694,16 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
     _validate_m(instance, m)
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
-    z_star, spent = _maxmin_optimum(instance, m, budget)
-    left = _remaining_budget(budget, start, spent)
-    if left is None:
-        raise BudgetExceededError("budget exhausted before enumeration")
-    graph = build_threshold_graph(instance, z_star)
+    spend = _Spend(budget)
+    z_star, adj, max_nodes = _optimum_graph(instance, m, spend)
     found: list[Solution] = []
 
     def leaf(chosen: list[int], cur: float) -> bool:
         found.append(Solution(chosen))
         return len(found) <= cap  # one past the cap proves truncation
 
-    nodes, exhausted = _walk_subsets(None, graph.adj, m, leaf,
-                                     max_nodes=left.max_nodes,
-                                     deadline=budget.deadline(start))
+    nodes, exhausted = _walk_subsets(None, adj, m, leaf, max_nodes=max_nodes,
+                                     deadline=spend.deadline)
     if exhausted:
         raise BudgetExceededError(
             f"optima enumeration exceeded budget after {nodes} nodes")
@@ -1104,56 +1111,42 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     return nodes, False
 
 
-def _add_half_tops(D: list[list[float]], scores: list[float],
-                   remaining: tuple[int, ...], need: int) -> None:
-    """Add to each scores[i] half the sum of remaining[i]'s need - 1
-    largest distances to the other candidates (need >= 2): the part of the
-    MaxSum completion bound that does not depend on the picks so far."""
+def _half_tops(D: list[list[float]], remaining: tuple[int, ...],
+               need: int) -> list[float]:
+    """Half the sum of each remaining[i]'s need - 1 largest distances to the
+    other candidates (need >= 2): the part of the MaxSum completion bound
+    that does not depend on the picks so far."""
     gather = itemgetter(*remaining)
+    row = []
     for i, v in enumerate(remaining):
         others = list(gather(D[v]))
         del others[i]  # v itself
         others.sort(reverse=True)
-        scores[i] += 0.5 * sum(others[:need - 1])
+        row.append(0.5 * sum(others[:need - 1]))
+    return row
 
 
 def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
-                          remaining: tuple[int, ...], need: int) -> float:
+                          remaining: tuple[int, ...], need: int,
+                          rows: Optional[dict] = None) -> float:
     """Most that need more picks from remaining can add to a MaxSum value
     (the bound solve_maxsum_bnb describes); gains[i] is remaining[i]'s
-    distance sum into the picks so far."""
-    scores = list(gains)
-    if need > 1:
-        _add_half_tops(D, scores, remaining, need)
+    distance sum into the picks so far.  Given a dict rows, each row of
+    half-top terms is kept in rows[(remaining[0], need)]: right only for a
+    walk whose candidate sets are suffixes range(s, n), as in one without
+    conflicts, where that key fixes the row."""
+    if need == 1:
+        scores = list(gains)
+    else:
+        key = (remaining[0], need)
+        row = None if rows is None else rows.get(key)
+        if row is None:
+            row = _half_tops(D, remaining, need)
+            if rows is not None:
+                rows[key] = row
+        scores = list(map(add, gains, row))
     scores.sort(reverse=True)
     return sum(scores[:need])
-
-
-def _suffix_completion_bound(D: list[list[float]]
-                             ) -> Callable[..., float]:
-    """_sum_completion_bound(D, ...) for candidate sets that are suffixes
-    range(s, n), as in a walk without conflicts.  Their half-top terms
-    depend only on (s, need), so each row of them is computed once and
-    kept: at most n * m rows of at most n floats.  A row starts at 0.0 and
-    0.0 + t is t itself (a term is a sum started at 0, never -0.0), so
-    gains[i] + row[i] is the sum _sum_completion_bound forms, bit for
-    bit."""
-    table: dict[tuple[int, int], list[float]] = {}
-
-    def bound(gains: Sequence[float], remaining: tuple[int, ...],
-              need: int) -> float:
-        if need == 1:
-            return _sum_completion_bound(D, gains, remaining, need)
-        key = (remaining[0], need)
-        row = table.get(key)
-        if row is None:
-            row = table[key] = [0.0] * len(remaining)
-            _add_half_tops(D, row, remaining, need)
-        scores = list(map(add, gains, row))
-        scores.sort(reverse=True)
-        return sum(scores[:need])
-
-    return bound
 
 
 def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
@@ -1178,14 +1171,13 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
         return True
 
     # without conflicts every candidate set is a suffix
-    completion = (partial(_sum_completion_bound, D) if any(adj)
-                  else _suffix_completion_bound(D))
+    rows = None if any(adj) else {}
 
     def prune(cur: float, gains: list[float], remaining: tuple[int, ...],
               need: int) -> bool:
         if best_combo is None:
             return False  # no incumbent for a bound to cut against
-        bound = cur + completion(gains, remaining, need)
+        bound = cur + _sum_completion_bound(D, gains, remaining, need, rows)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
@@ -1239,32 +1231,29 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
     the answer is exact no matter how many optima exist.  The lower-level
     optimum d* is solved once per (instance, m) and cached on the instance,
     so later bi-level calls in either mode, and MaxMin enumeration, reuse
-    it without charging the budget; when it is solved here, its nodes count
-    against max_nodes together with the subset search's.
+    it without charging the budget; when it is solved here, it and the
+    subset search share one budget.
     """
     if upper_kind not in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM):
         raise ValueError(f"upper objective must be maxsum or maxminsum, "
                          f"got {upper_kind.value}")
     if mode not in ("enumerate", "exact"):
         raise ValueError(f"mode must be 'enumerate' or 'exact', got {mode!r}")
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
     _validate_m(instance, m)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
-    d_star, spent = _maxmin_optimum(instance, m, budget)
-    left = _remaining_budget(budget, start, spent)
-    if left is None:
-        raise BudgetExceededError("budget exhausted before the subset search")
     if mode == "enumerate":
-        # d* is cached now, so enumeration charges only its walk to left
-        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=left)
+        # the enumeration charges d* and its walk to one budget
+        optima = enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
         # max keeps the first best optimum, the lexicographically smallest
         chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
-        count, truncated = len(optima), optima.truncated
+        d_star, count, truncated = optima.value, len(optima), optima.truncated
     else:
-        graph = build_threshold_graph(instance, d_star)
+        spend = _Spend(budget)
+        d_star, adj, max_nodes = _optimum_graph(instance, m, spend)
         best_combo, count, nodes, exhausted = _best_subset(
-            instance.distances.tolist(), graph.adj, m, upper_kind,
-            left.max_nodes, budget.deadline(start))
+            instance.distances.tolist(), adj, m, upper_kind, max_nodes,
+            spend.deadline)
         if exhausted:
             raise BudgetExceededError(
                 f"exact bi-level search exceeded budget after {nodes} nodes")

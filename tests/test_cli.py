@@ -84,6 +84,31 @@ def test_solve_bilevel_truncated_is_feasible(square_file, capsys):
     assert "status optimal" in out.splitlines()
 
 
+def test_solve_bilevel_labels_its_count_by_mode(square_file, capsys):
+    # enumerate mode lists the two MaxMin-optimal pairs (the diagonals);
+    # exact mode counts the leaves its bound scored, which are not optima
+    argv = ["solve", square_file, "--model", "bilevel-maxsum", "--m", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert "optima 2" in lines
+    assert not any(line.startswith("leaves ") for line in lines)
+    code, out = run(capsys, *argv, "--mode", "exact")
+    assert code == 0
+    lines = out.splitlines()
+    assert "leaves 1" in lines
+    assert not any(line.startswith("optima ") for line in lines)
+
+
+def test_solve_rejects_a_nan_time_limit(t4_file, capsys):
+    code = main(["solve", t4_file, "--model", "maxmin", "--m", "3",
+                 "--time-limit", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "time_limit must be positive, got nan" in captured.err
+
+
 def test_solve_original_method(t4_file, capsys):
     code, out = run(capsys, "solve", t4_file, "--model", "maxmin",
                     "--m", "3", "--method", "original")

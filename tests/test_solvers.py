@@ -863,15 +863,24 @@ def test_sum_completion_bound_bit_identical(values):
 
 
 @pytest.mark.parametrize("values", TIE_VALUES)
-def test_suffix_bound_table_bit_identical(values):
+def test_suffix_bound_table_bit_identical(monkeypatch, values):
     # the bound MaxSum B&B prunes with, its terms kept per (s, need); the
     # second round reads every row from the table
+    computed = []
+    half_tops = solvers._half_tops
+
+    def counted(D, remaining, need):
+        computed.append((remaining, need))
+        return half_tops(D, remaining, need)
+
+    monkeypatch.setattr(solvers, "_half_tops", counted)
     rng = np.random.default_rng(6)
     checked = 0
     for seed in range(8):
         n = int(rng.integers(2, 16))
         D = _tie_heavy(seed, n, values).distances.tolist()
-        bound = solvers._suffix_completion_bound(D)
+        rows = {}
+        computed.clear()
         for _ in range(2):
             for s in range(n):
                 remaining = tuple(range(s, n))
@@ -885,10 +894,13 @@ def test_suffix_bound_table_bit_identical(values):
                         gain += D[v][c]
                     gains.append(gain)
                 for need in range(1, n - s + 1):
-                    got = bound(gains, remaining, need)
+                    got = _sum_completion_bound(D, gains, remaining, need,
+                                                rows)
                     want = _generator_sort_bound(D, chosen, remaining, need)
                     assert got.hex() == want.hex(), (seed, chosen, s, need)
                     checked += 1
+        # each (s, need) row was computed once, in the first round
+        assert len(computed) == len(set(computed)) == len(rows)
     assert checked > 300
 
 
@@ -899,13 +911,13 @@ def test_maxsum_bnb_computes_each_table_row_once(monkeypatch, family, n, m,
     inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
                                   seed=seed))
     keys = []
-    add_half_tops = solvers._add_half_tops
+    half_tops = solvers._half_tops
 
-    def counted(D, scores, remaining, need):
+    def counted(D, remaining, need):
         keys.append((remaining, need))
-        add_half_tops(D, scores, remaining, need)
+        return half_tops(D, remaining, need)
 
-    monkeypatch.setattr(solvers, "_add_half_tops", counted)
+    monkeypatch.setattr(solvers, "_half_tops", counted)
     res = solve_maxsum_bnb(inst, m)
     assert res.status is SolveStatus.OPTIMAL
     assert keys and len(set(keys)) == len(keys) <= n * m
@@ -1071,6 +1083,104 @@ def test_max_nodes_covers_the_d_star_solve(call, family, n, m, seed):
     run(cached, m, SolverBudget(max_nodes=walk))
     with pytest.raises(BudgetExceededError):
         run(cached, m, SolverBudget(max_nodes=walk - 1))
+
+
+def _fake_clock(monkeypatch):
+    # solvers' clock reads now[0], which only the tests move
+    now = [0.0]
+    monkeypatch.setattr(solvers, "time",
+                        types.SimpleNamespace(perf_counter=lambda: now[0]))
+    return now
+
+
+def _probes_take_a_second(monkeypatch, now, probe):
+    # each call of solvers.<probe> advances the clock by 1 s once it is
+    # done, and the time limits it received are logged
+    limits = []
+    real = getattr(solvers, probe)
+
+    def timed(*args):
+        limits.append(args[-1].time_limit)
+        res = real(*args)
+        now[0] += 1.0
+        return res
+
+    monkeypatch.setattr(solvers, probe, timed)
+    return limits
+
+
+@pytest.mark.parametrize("solve,probe", [
+    (solve_maxmin_improved, "feasible_subset"),
+    (solve_maxmin_original, "max_packing")])
+def test_time_limit_covers_every_maxmin_probe(monkeypatch, solve, probe):
+    spec = ("gkd-d", 40, 5, 1)
+    k = solve(_generate(spec), 5).stats.decision_solves
+    assert k >= 3
+    limits = _probes_take_a_second(monkeypatch, _fake_clock(monkeypatch),
+                                   probe)
+    # each probe gets the limit less the seconds of the probes before it
+    res = solve(_generate(spec), 5, SolverBudget(time_limit=k + 0.5))
+    assert res.status is SolveStatus.OPTIMAL
+    assert limits == [k + 0.5 - i for i in range(k)]
+    # with k - 1 seconds the last probe finds nothing left and never runs
+    limits.clear()
+    res = solve(_generate(spec), 5, SolverBudget(time_limit=k - 1))
+    assert res.status is SolveStatus.FEASIBLE
+    assert res.stats.decision_solves == k - 1
+    assert limits == [k - 1 - i for i in range(k - 1)]
+
+
+@pytest.mark.parametrize("call", sorted(_D_STAR_CALLS))
+def test_time_limit_covers_the_d_star_solve(monkeypatch, call):
+    run, _ = _D_STAR_CALLS[call]
+    spec = ("gkd-d", 40, 6, 3)
+    k = solve_maxmin_improved(_generate(spec), 6).stats.decision_solves
+    now = _fake_clock(monkeypatch)
+    _probes_take_a_second(monkeypatch, now, "feasible_subset")
+    left = []
+    walk = solvers._walk_subsets
+
+    def timed_walk(D, adj, m, leaf, prune=None, max_nodes=None,
+                   deadline=None):
+        left.append(deadline - now[0])
+        return walk(D, adj, m, leaf, prune, max_nodes, deadline)
+
+    monkeypatch.setattr(solvers, "_walk_subsets", timed_walk)
+    # the walk after the d* solve gets the seconds its k probes left
+    run(_generate(spec), 6, SolverBudget(time_limit=k + 10.0))
+    assert left == [10.0]
+    with pytest.raises(BudgetExceededError, match="before the subset walk"):
+        run(_generate(spec), 6, SolverBudget(time_limit=k))
+    with pytest.raises(BudgetExceededError, match="not proven"):
+        run(_generate(spec), 6, SolverBudget(time_limit=k - 1))
+    # a cached d* costs no time either
+    cached = _generate(spec)
+    solve_maxmin_improved(cached, 6)
+    run(cached, 6, SolverBudget(time_limit=0.5))
+    assert left == [10.0, 0.5]
+
+
+@pytest.mark.parametrize("fields", [
+    {"time_limit": float("nan")}, {"time_limit": 0.0}, {"time_limit": -1.0},
+    {"max_nodes": 2.5}, {"max_nodes": True}, {"max_nodes": 0},
+    {"max_subsets": 1.0}, {"max_subsets": False}, {"max_subsets": -3}])
+def test_budget_rejects_bad_limits(fields):
+    with pytest.raises(ValueError, match="budget field"):
+        SolverBudget(**fields)
+
+
+def test_budget_accepts_positive_limits():
+    budget = SolverBudget(max_subsets=1, max_nodes=10 ** 30, time_limit=1)
+    assert (budget.max_subsets, budget.max_nodes, budget.time_limit) \
+        == (1, 10 ** 30, 1)
+    assert SolverBudget(time_limit=math.inf).deadline(2.0) == math.inf
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "exact"])
+def test_bilevel_rejects_a_cap_below_one_in_both_modes(t4, mode):
+    with pytest.raises(ValueError, match="cap must be positive"):
+        solve_bilevel(t4, 3, ObjectiveKind.MAXSUM, cap=0, mode=mode)
+    assert t4._maxmin == {}  # rejected before any solve
 
 
 def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
