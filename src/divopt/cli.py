@@ -351,6 +351,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1, so that a bad --count or
+    --cap is refused before any file is written."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _budget_parser(time_limit: Optional[float]) -> argparse.ArgumentParser:
     """The budget flags, --time-limit defaulting to time_limit.  Commands
     share a parent's actions, so another default needs another parent."""
@@ -382,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--dim", type=int, default=None,
                    help="coordinate dimension override: GKD and GKD-d (2 only)")
     p.add_argument("--out", required=True, help="output directory")
@@ -397,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="improved", help="MaxMin algorithm")
     p.add_argument("--mode", choices=("enumerate", "exact"),
                    default="enumerate", help="bi-level solving mode")
-    p.add_argument("--cap", type=int, default=DEFAULT_OPTIMA_CAP,
+    p.add_argument("--cap", type=_count, default=DEFAULT_OPTIMA_CAP,
                    help="alternate-optima enumeration cap")
     p.set_defaults(func=cmd_solve)
 
@@ -433,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instances", nargs="+")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--models", default=",".join(_ANALYZE_MODELS))
-    p.add_argument("--cap", type=int, default=DEFAULT_OPTIMA_CAP)
+    p.add_argument("--cap", type=_count, default=DEFAULT_OPTIMA_CAP)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_analyze)
 
@@ -457,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[f.value for f in Family if f is not Family.CUSTOM])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--models", default=",".join(_ANALYZE_MODELS))
     p.add_argument("--out", required=True, help="output directory")

@@ -21,8 +21,10 @@ Both MaxMin methods cache each optimum they prove on the instance; the
 bi-level solver and MaxMin enumeration read d* from there, while the
 MaxMin methods themselves always search.
 
-All searches are deterministic; ties break to the lexicographically
-smallest index tuple.
+Each public solver charges its whole call to one budget ledger, _Spend:
+every node search calls its tick at each node, and only the ledger
+decides when a search stops.  All searches are deterministic; ties break
+to the lexicographically smallest index tuple.
 """
 
 from __future__ import annotations
@@ -103,12 +105,12 @@ class SolverBudget:
     backtracking searches and ``time_limit`` the wall clock (seconds).
     Each limit holds over the whole call, however many searches it makes:
     all probes of a MaxMin solve, and the d* solve plus the subset walk of
-    solve_bilevel and enumerate_maxmin_optima.  _Spend implements this
-    rule: a call charges every search to one ledger, and each search gets
-    what the ones before it left.  The subset walk counts only visited
-    nodes: a branch with too few candidates, or in a walk with no bound one
-    whose clique cover rules out an independent completion, is skipped
-    unvisited and costs nothing.
+    solve_bilevel and enumerate_maxmin_optima.  Every public solver opens
+    one ledger, _Spend, which alone counts nodes and decides when a search
+    stops; each search it runs gets what the ones before it left.  The
+    subset walk counts only visited nodes: a branch with too few
+    candidates, or in a walk with no bound one whose clique cover rules out
+    an independent completion, is skipped unvisited and costs nothing.
     """
 
     max_subsets: Optional[int] = None
@@ -125,9 +127,6 @@ class SolverBudget:
                 raise ValueError(f"budget field {name} must be an int, got {v!r}")
             if not v > 0:  # NaN too, which compares false with every limit
                 raise ValueError(f"budget field {name} must be positive, got {v}")
-
-    def deadline(self, start: float) -> Optional[float]:
-        return start + self.time_limit if self.time_limit is not None else None
 
 
 _NO_BUDGET = SolverBudget()
@@ -219,15 +218,69 @@ def _lowest_bits(mask: int, k: int) -> int:
 
 
 class _Exhausted(Exception):
-    pass
+    """_Spend.tick stopped a search.  A search that keeps an incumbent
+    stores it in incumbent on the way out (_best_subset)."""
+
+    incumbent = None
 
 
-def _check_limits(nodes: int, max_nodes: Optional[int],
-                  deadline: Optional[float]) -> None:
-    if max_nodes is not None and nodes > max_nodes:
-        raise _Exhausted
-    if deadline is not None and nodes & 255 == 0 and time.perf_counter() > deadline:
-        raise _Exhausted
+class _Spend:
+    """The ledger of one solver call's budget, and the only place that
+    counts search nodes and decides when a search stops.
+
+    Every public solver opens one.  Its node searches call tick() at each
+    node; a search it makes as a separate solve call goes through run(),
+    gets the budget left() and is charged with the nodes that call
+    reports.  So each limit holds over the whole call, however many
+    searches it makes, and stats() reports the call's totals.
+    """
+
+    def __init__(self, budget: Optional[SolverBudget]) -> None:
+        self.budget = budget or _NO_BUDGET
+        self.start = time.perf_counter()
+        max_nodes, time_limit = self.budget.max_nodes, self.budget.time_limit
+        self.max_nodes = inf if max_nodes is None else max_nodes
+        self.deadline = inf if time_limit is None else self.start + time_limit
+        self.nodes = 0
+        self.calls = 0
+
+    def tick(self) -> None:
+        """Count one search node; raise _Exhausted past max_nodes, or past
+        the deadline, which is read only every 256 nodes."""
+        self.nodes += 1
+        if self.nodes > self.max_nodes or (
+                not self.nodes & 255 and time.perf_counter() > self.deadline):
+            raise _Exhausted
+
+    def left(self) -> Optional[SolverBudget]:
+        """The budget left for the next search; None once it ran out."""
+        max_nodes, time_limit = self.budget.max_nodes, self.budget.time_limit
+        if max_nodes is not None:
+            max_nodes -= self.nodes
+        if time_limit is not None:
+            time_limit -= time.perf_counter() - self.start
+        if any(left is not None and left <= 0 for left in (max_nodes, time_limit)):
+            return None
+        return replace(self.budget, max_nodes=max_nodes, time_limit=time_limit)
+
+    def run(self, search: Callable[..., SolveResult],
+            *args) -> Optional[SolveResult]:
+        """search(*args, budget left), charged here; None, without a call,
+        once nothing is left."""
+        left = self.left()
+        if left is None:
+            return None
+        result = search(*args, left)
+        self.calls += 1
+        self.nodes += result.stats.subsets_or_nodes_explored
+        return result
+
+    def stats(self, **fields) -> SearchStats:
+        """SearchStats of what was charged here so far; fields override."""
+        return SearchStats(**{"subsets_or_nodes_explored": self.nodes,
+                              "decision_solves": self.calls,
+                              "wall_time": time.perf_counter() - self.start,
+                              **fields})
 
 
 def _clique_cover_size(cand: int, adj: tuple[int, ...], stop: int) -> int:
@@ -268,43 +321,36 @@ def _max_degree(cand: int, adj: tuple[int, ...]) -> tuple[int, int]:
     return pick, maxdeg
 
 
-def _find_independent(adj: tuple[int, ...], n: int, m: int,
-                      max_nodes: Optional[int], deadline: Optional[float],
-                      ) -> tuple[Optional[int], int, bool]:
-    """Search G for an independent set of size m.
+def _find_independent(cand: int, adj: tuple[int, ...], m: int,
+                      tick: Callable[[], None]) -> Optional[int]:
+    """An independent set of size m within cand, as bits, or None.
 
-    Returns (bits or None, nodes_explored, decided).  Branches on the
-    candidate vertex of maximum degree within the candidate set, excluding
-    it first; prunes when a greedy clique cover of the candidates has fewer
-    cliques than picks are still needed.
+    tick() runs at every search node and may stop it by raising
+    _Exhausted.  Branches on the candidate vertex of maximum degree within
+    the candidate set, excluding it first; prunes when a greedy clique
+    cover of the candidates has fewer cliques than picks are still needed.
     """
-    full = (1 << n) - 1
-    nodes = 0
     # stack entries: (candidates, chosen, still_needed); exclude branch is
     # pushed last so it pops first
-    stack = [(full, 0, m)]
-    try:
-        while stack:
-            cand, chosen, need = stack.pop()
-            nodes += 1
-            _check_limits(nodes, max_nodes, deadline)
-            if need == 0:
-                return chosen, nodes, True
-            if cand.bit_count() < need:
-                continue
-            # decisive on the infeasible side of the threshold
-            if _clique_cover_size(cand, adj, need) < need:
-                continue
-            pick, maxdeg = _max_degree(cand, adj)
-            if maxdeg == 0:
-                # conflict-free candidates: lowest-index fill completes
-                return chosen | _lowest_bits(cand, need), nodes, True
-            bit = 1 << pick
-            stack.append((cand & ~(adj[pick] | bit), chosen | bit, need - 1))
-            stack.append((cand ^ bit, chosen, need))
-        return None, nodes, True
-    except _Exhausted:
-        return None, nodes, False
+    stack = [(cand, 0, m)]
+    while stack:
+        cand, chosen, need = stack.pop()
+        tick()
+        if need == 0:
+            return chosen
+        if cand.bit_count() < need:
+            continue
+        # decisive on the infeasible side of the threshold
+        if _clique_cover_size(cand, adj, need) < need:
+            continue
+        pick, maxdeg = _max_degree(cand, adj)
+        if maxdeg == 0:
+            # conflict-free candidates: lowest-index fill completes
+            return chosen | _lowest_bits(cand, need)
+        bit = 1 << pick
+        stack.append((cand & ~(adj[pick] | bit), chosen | bit, need - 1))
+        stack.append((cand ^ bit, chosen, need))
+    return None
 
 
 def feasible_subset(instance: Instance, l: float, m: int,
@@ -316,15 +362,15 @@ def feasible_subset(instance: Instance, l: float, m: int,
     exhausted.
     """
     _validate_m(instance, m)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     graph = build_threshold_graph(instance, l)
-    bits, nodes, decided = _find_independent(
-        graph.adj, graph.n, m, budget.max_nodes, budget.deadline(start))
-    stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=1,
-                        wall_time=time.perf_counter() - start)
+    status = SolveStatus.INFEASIBLE  # when no witness turns up
+    try:
+        bits = _find_independent((1 << graph.n) - 1, graph.adj, m, spend.tick)
+    except _Exhausted:
+        bits, status = None, SolveStatus.BUDGET_EXCEEDED
+    stats = spend.stats(decision_solves=1)
     if bits is None:
-        status = SolveStatus.INFEASIBLE if decided else SolveStatus.BUDGET_EXCEEDED
         return SolveResult(ObjectiveKind.MAXMIN, status, None, None, stats)
     witness = Solution(_bits_to_nodes(bits))
     return SolveResult(ObjectiveKind.MAXMIN, SolveStatus.FEASIBLE, witness,
@@ -478,64 +524,18 @@ def max_packing(instance: Instance, l: float,
     attains it.  On budget exhaustion the greedy packing is returned as a
     Feasible lower bound.
     """
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     graph = build_threshold_graph(instance, l)
-    max_nodes, deadline = budget.max_nodes, budget.deadline(start)
-    nodes = 0
-
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        _check_limits(nodes, max_nodes, deadline)
-
     full = (1 << graph.n) - 1
     try:
-        bits = _max_independent(full, graph.adj, tick)
+        bits = _max_independent(full, graph.adj, spend.tick)
         status = SolveStatus.OPTIMAL
     except _Exhausted:
         bits = _greedy_independent(full, graph.adj)
         status = SolveStatus.FEASIBLE
-    stats = SearchStats(subsets_or_nodes_explored=nodes, decision_solves=1,
-                        wall_time=time.perf_counter() - start)
     witness = Solution(_bits_to_nodes(bits))
     return SolveResult(ObjectiveKind.MAXMIN, status, witness,
-                       float(len(witness)), stats)
-
-
-class _Spend:
-    """The ledger of one solver call's budget: every search the call makes
-    is charged to it, so each limit holds over the whole call."""
-
-    def __init__(self, budget: Optional[SolverBudget]) -> None:
-        self.budget = budget or _NO_BUDGET
-        self.start = time.perf_counter()
-        self.deadline = self.budget.deadline(self.start)
-        self.nodes = 0
-        self.calls = 0
-
-    def left(self) -> Optional[SolverBudget]:
-        """The budget left for the next search; None once it ran out."""
-        max_nodes, time_limit = self.budget.max_nodes, self.budget.time_limit
-        if max_nodes is not None:
-            max_nodes -= self.nodes
-        if time_limit is not None:
-            time_limit -= time.perf_counter() - self.start
-        if any(left is not None and left <= 0 for left in (max_nodes, time_limit)):
-            return None
-        return replace(self.budget, max_nodes=max_nodes, time_limit=time_limit)
-
-    def run(self, search: Callable[..., SolveResult],
-            *args) -> Optional[SolveResult]:
-        """search(*args, budget left), charged here; None, without a call,
-        once nothing is left."""
-        left = self.left()
-        if left is None:
-            return None
-        result = search(*args, left)
-        self.calls += 1
-        self.nodes += result.stats.subsets_or_nodes_explored
-        return result
+                       float(len(witness)), spend.stats(decision_solves=1))
 
 
 def _maxmin_result(instance: Instance, m: int, optimal: bool,
@@ -549,17 +549,14 @@ def _maxmin_result(instance: Instance, m: int, optimal: bool,
     value = eval_maxmin(instance, witness)
     if optimal:
         instance._maxmin[m] = value  # read back by _optimum_graph only
-    stats = SearchStats(subsets_or_nodes_explored=spend.nodes,
-                        decision_solves=spend.calls,
-                        wall_time=time.perf_counter() - spend.start,
-                        trace=tuple(trace), q_used=q_used)
     status = SolveStatus.OPTIMAL if optimal else SolveStatus.FEASIBLE
-    return SolveResult(ObjectiveKind.MAXMIN, status, witness, value, stats)
+    return SolveResult(ObjectiveKind.MAXMIN, status, witness, value,
+                       spend.stats(trace=tuple(trace), q_used=q_used))
 
 
 def _optimum_graph(instance: Instance, m: int, spend: _Spend,
-                   ) -> tuple[float, tuple[int, ...], Optional[int]]:
-    """(d*, adjacency of G(d*), max_nodes left for a walk on it).
+                   ) -> tuple[float, tuple[int, ...]]:
+    """(d*, adjacency of G(d*)), for a walk on G(d*) that ticks spend.
 
     d* is the MaxMin optimum of (instance, m): the proven value cached on
     the instance at no cost, or one solve_maxmin_improved call charged to
@@ -572,10 +569,9 @@ def _optimum_graph(instance: Instance, m: int, spend: _Spend,
         if base is None or base.status is not SolveStatus.OPTIMAL:
             raise BudgetExceededError("MaxMin optimum not proven within budget")
         d_star = base.value
-    left = spend.left()
-    if left is None:
+    if spend.left() is None:
         raise BudgetExceededError("budget exhausted before the subset walk")
-    return d_star, build_threshold_graph(instance, d_star).adj, left.max_nodes
+    return d_star, build_threshold_graph(instance, d_star).adj
 
 
 def solve_maxmin_improved(instance: Instance, m: int,
@@ -695,18 +691,19 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     spend = _Spend(budget)
-    z_star, adj, max_nodes = _optimum_graph(instance, m, spend)
+    z_star, adj = _optimum_graph(instance, m, spend)
+    before = spend.nodes
     found: list[Solution] = []
 
     def leaf(chosen: list[int], cur: float) -> bool:
         found.append(Solution(chosen))
         return len(found) <= cap  # one past the cap proves truncation
 
-    nodes, exhausted = _walk_subsets(None, adj, m, leaf, max_nodes=max_nodes,
-                                     deadline=spend.deadline)
-    if exhausted:
-        raise BudgetExceededError(
-            f"optima enumeration exceeded budget after {nodes} nodes")
+    try:
+        _walk_subsets(None, adj, m, leaf, spend.tick)
+    except _Exhausted:
+        raise BudgetExceededError(f"optima enumeration exceeded budget after "
+                                  f"{spend.nodes - before} nodes") from None
     return OptimaEnumeration(solutions=tuple(found[:cap]),
                              truncated=len(found) > cap, value=z_star)
 
@@ -844,13 +841,14 @@ class _Incumbent:
 
 
 def _scored_blocks(instance: Instance, sizes: list[int], kind: ObjectiveKind,
-                   deadline: Optional[float]
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of the brute-force walk with its scores.  Past the
-    deadline, raises _Exhausted before any block after the first."""
+                   spend: _Spend) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of the brute-force walk with its scores, its rows charged
+    to spend.nodes.  Past spend's deadline, raises _Exhausted before any
+    block after the first."""
     for i, block in enumerate(_combination_blocks(instance.n, sizes)):
-        if i and deadline is not None and time.perf_counter() > deadline:
+        if i and time.perf_counter() > spend.deadline:
             raise _Exhausted
+        spend.nodes += len(block)
         yield block, _score_block(instance.distances, block, kind)
 
 
@@ -867,28 +865,22 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     exceeds the budget.  The time limit is checked before each block after
     the first.  Ties go to the lexicographically smallest index tuple.
     """
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     sizes, total = _subset_sizes(instance, m, kind)
-    if budget.max_subsets is not None and total > budget.max_subsets:
-        stats = SearchStats(wall_time=time.perf_counter() - start)
-        return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None, stats)
+    max_subsets = spend.budget.max_subsets
+    if max_subsets is not None and total > max_subsets:
+        return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None,
+                           spend.stats())
 
     best = _Incumbent(kind.sense is Sense.MAX)
-    explored = 0
-    timed_out = False
+    status = SolveStatus.OPTIMAL
     try:
-        for block, scores in _scored_blocks(instance, sizes, kind,
-                                            budget.deadline(start)):
-            explored += len(block)
+        for block, scores in _scored_blocks(instance, sizes, kind, spend):
             best.offer(block, scores)
     except _Exhausted:
-        timed_out = True
-
-    stats = SearchStats(subsets_or_nodes_explored=explored,
-                        wall_time=time.perf_counter() - start)
-    status = SolveStatus.FEASIBLE if timed_out else SolveStatus.OPTIMAL
+        status = SolveStatus.FEASIBLE
     sol = Solution(best.combo)
+    stats = spend.stats()
     return SolveResult(kind, status, sol, evaluate(kind, instance, sol), stats)
 
 
@@ -988,10 +980,10 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
         raise ValueError(f"cap must be positive, got {cap}")
     if kind is ObjectiveKind.MAXMIN:
         return enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
+    spend = _Spend(budget)
     sizes, total = _subset_sizes(instance, m, kind)
-    if budget.max_subsets is not None and total > budget.max_subsets:
+    max_subsets = spend.budget.max_subsets
+    if max_subsets is not None and total > max_subsets:
         raise BudgetExceededError("enumeration bound exceeds budget")
     sense_max = kind.sense is Sense.MAX
     best = _Incumbent(sense_max)
@@ -1001,8 +993,7 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     floor = -inf  # lowest gain within twice the tolerance of the best
     cap_floor: Optional[float] = None  # lowest gain of kept[:cap + 1]
     try:
-        for block, scores in _scored_blocks(instance, sizes, kind,
-                                            budget.deadline(start)):
+        for block, scores in _scored_blocks(instance, sizes, kind, spend):
             if best.offer(block, scores):
                 top = best.value if sense_max else -best.value
                 floor = top - 2 * _OPTIMA_REL_TOL * max(1.0, abs(top))
@@ -1032,17 +1023,19 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
 
 def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
                   leaf: Callable[[list[int], float], bool],
-                  prune: Optional[Callable[..., bool]] = None,
-                  max_nodes: Optional[int] = None,
-                  deadline: Optional[float] = None) -> tuple[int, bool]:
+                  tick: Callable[[], None],
+                  prune: Optional[Callable[..., bool]] = None) -> None:
     """Walk the m-subsets independent in adj depth first, lexicographically.
 
     leaf(chosen, cur) gets each full subset with its MaxSum value cur and
     stops the walk by returning False.  prune(cur, gains, remaining, need)
     may cut a partial one: remaining are its candidates, gains[i] is the
     distance sum from remaining[i] into chosen (in pick order) and need the
-    picks missing.  Without prune, D may be None and cur stays 0.0.  A
-    child with fewer candidates than it needs is skipped, not visited.
+    picks missing.  Without prune, D may be None and cur stays 0.0.
+    tick() runs once at every visited node and stops the walk by raising
+    _Exhausted; the caller's _Spend.tick makes the walk one more search of
+    its call's budget.  A child with fewer candidates than it needs is
+    skipped, not visited, and so costs no tick.
     A walk without prune lists every leaf, so it also skips a child that
     needs at least 2 more picks when a greedy clique cover of its
     candidates (_clique_cover_size) has fewer cliques than that: no
@@ -1053,15 +1046,11 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     charges its faster passes to peak memory.
     The gains and prune wait for the first child that keeps enough: a node
     with none is left before they are computed, and is still visited and
-    counted once.
-    Returns (visited nodes, whether max_nodes or the deadline stopped it).
+    ticked once.
     """
-    nodes = 0
 
     def rec(cand: int, chosen: list[int], cur: float) -> bool:
-        nonlocal nodes
-        nodes += 1
-        _check_limits(nodes, max_nodes, deadline)
+        tick()
         need = m - len(chosen)
         if need == 0:
             return leaf(chosen, cur)
@@ -1104,11 +1093,8 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
 
     try:
         rec((1 << len(adj)) - 1, [], 0.0)
-    except _Exhausted:
-        return nodes, True
     finally:
         del rec  # rec reaches itself through its closure cell: break the cycle
-    return nodes, False
 
 
 def _half_tops(D: list[list[float]], remaining: tuple[int, ...],
@@ -1150,13 +1136,13 @@ def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
 
 
 def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
-                 upper_kind: ObjectiveKind, max_nodes: Optional[int],
-                 deadline: Optional[float],
-                 ) -> tuple[Optional[tuple[int, ...]], int, int, bool]:
+                 upper_kind: ObjectiveKind, tick: Callable[[], None],
+                 ) -> tuple[Optional[tuple[int, ...]], int]:
     """Lexicographically first best MaxSum or MaxMinSum m-subset independent
     in adj, pruned by the MaxSum completion bound or, for MaxMinSum, twice
     it over m (min <= mean of the contributions).  Returns (subset or None,
-    leaves scored, nodes visited, exhausted)."""
+    leaves scored); when tick stops the walk, the _Exhausted it raises
+    carries the best subset so far (or None) as its incumbent."""
     maxsum = upper_kind is ObjectiveKind.MAXSUM
     best_val = -inf
     best_combo: Optional[tuple[int, ...]] = None
@@ -1182,9 +1168,12 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
             bound = 2.0 * bound / m
         return bound <= best_val
 
-    nodes, exhausted = _walk_subsets(D, adj, m, leaf, prune, max_nodes,
-                                     deadline)
-    return best_combo, leaves, nodes, exhausted
+    try:
+        _walk_subsets(D, adj, m, leaf, tick, prune)
+    except _Exhausted as stop:
+        stop.incumbent = best_combo
+        raise
+    return best_combo, leaves
 
 
 def solve_maxsum_bnb(instance: Instance, m: int,
@@ -1201,17 +1190,17 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     row and sums the m-k largest.
     """
     _validate_m(instance, m)
-    budget = budget or _NO_BUDGET
-    start = time.perf_counter()
-    best_combo, _, nodes, exhausted = _best_subset(
-        instance.distances.tolist(), (0,) * instance.n, m,
-        ObjectiveKind.MAXSUM, budget.max_nodes, budget.deadline(start))
-    status = SolveStatus.OPTIMAL
-    if exhausted:
+    spend = _Spend(budget)
+    try:
+        best_combo, _ = _best_subset(instance.distances.tolist(),
+                                     (0,) * instance.n, m,
+                                     ObjectiveKind.MAXSUM, spend.tick)
+        status = SolveStatus.OPTIMAL
+    except _Exhausted as stop:
+        best_combo = stop.incumbent
         status = SolveStatus.FEASIBLE if best_combo is not None \
             else SolveStatus.BUDGET_EXCEEDED
-    stats = SearchStats(subsets_or_nodes_explored=nodes,
-                        wall_time=time.perf_counter() - start)
+    stats = spend.stats()
     if best_combo is None:
         return SolveResult(ObjectiveKind.MAXSUM, status, None, None, stats)
     sol = Solution(best_combo)
@@ -1250,13 +1239,15 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
         d_star, count, truncated = optima.value, len(optima), optima.truncated
     else:
         spend = _Spend(budget)
-        d_star, adj, max_nodes = _optimum_graph(instance, m, spend)
-        best_combo, count, nodes, exhausted = _best_subset(
-            instance.distances.tolist(), adj, m, upper_kind, max_nodes,
-            spend.deadline)
-        if exhausted:
+        d_star, adj = _optimum_graph(instance, m, spend)
+        before = spend.nodes
+        try:
+            best_combo, count = _best_subset(instance.distances.tolist(), adj,
+                                             m, upper_kind, spend.tick)
+        except _Exhausted:
             raise BudgetExceededError(
-                f"exact bi-level search exceeded budget after {nodes} nodes")
+                f"exact bi-level search exceeded budget after "
+                f"{spend.nodes - before} nodes") from None
         chosen, truncated = Solution(best_combo), False
     return BiLevelResult(d_star=d_star, optima_enumerated=count,
                          truncated=truncated, upper_kind=upper_kind,

@@ -157,6 +157,38 @@ def test_generate_rejects_ignored_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+def _refused_at_parse_time(capsys, out, *argv):
+    # exit 1 with argparse's message for the flag, and nothing written
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "must be an integer of at least 1" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-1", "0", "two"])
+def test_generate_rejects_a_count_below_one(tmp_path, capsys, count):
+    # --count -1 once wrote an empty manifest and reported -1 instances
+    _refused_at_parse_time(capsys, tmp_path / "gen", "generate", "--family",
+                           "som", "--n", "8", "--m", "3", "--count", count)
+
+
+def test_bench_rejects_a_count_below_one(tmp_path, capsys):
+    # --count 0 once wrote results.csv before it failed
+    _refused_at_parse_time(capsys, tmp_path / "bench", "bench", "--family",
+                           "som", "--n", "8", "--m", "3", "--count", "0")
+
+
+def test_analyze_and_solve_reject_a_cap_below_one(t4_file, tmp_path, capsys):
+    # analyze --cap 0 once solved every model and wrote its CSVs first
+    _refused_at_parse_time(capsys, tmp_path / "analysis", "analyze", t4_file,
+                           "--m", "3", "--cap", "0")
+    assert main(["solve", t4_file, "--model", "bilevel-maxsum", "--m", "3",
+                 "--cap", "0"]) == 1
+    assert "must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_export_lp_stdout_and_file(t4_file, tmp_path, capsys):
     code, out = run(capsys, "export-lp", t4_file, "--kind", "maxminsum_tight",
                     "--m", "3")

@@ -1036,6 +1036,16 @@ def test_exact_bilevel_node_budget_raises():
                       budget=SolverBudget(max_nodes=100))
 
 
+def _ticked(search, max_nodes=None):
+    # (answer, nodes, stopped) of search(tick) on a fresh ledger with
+    # max_nodes; a stopped search answers with its incumbent
+    spend = solvers._Spend(SolverBudget(max_nodes=max_nodes))
+    try:
+        return search(spend.tick), spend.nodes, False
+    except solvers._Exhausted as stop:
+        return stop.incumbent, spend.nodes, True
+
+
 def _bilevel_call(kind, mode):
     return lambda inst, m, budget: solve_bilevel(inst, m, kind, mode=mode,
                                                  budget=budget)
@@ -1068,10 +1078,11 @@ def test_max_nodes_covers_the_d_star_solve(call, family, n, m, seed):
     # nodes of the subset walk alone
     adj = build_threshold_graph(fresh(), base.value).adj
     if kind is None:
-        walk = solvers._walk_subsets(None, adj, m, lambda chosen, cur: True)[0]
+        walk = _ticked(lambda tick: solvers._walk_subsets(
+            None, adj, m, lambda chosen, cur: True, tick))[1]
     else:
-        walk = solvers._best_subset(fresh().distances.tolist(), adj, m, kind,
-                                    None, None)[2]
+        walk = _ticked(lambda tick: solvers._best_subset(
+            fresh().distances.tolist(), adj, m, kind, tick))[1]
     # the d* solve and the walk share one max_nodes: exactly their sum
     # finishes, one less stops
     run(fresh(), m, SolverBudget(max_nodes=spent + walk))
@@ -1140,10 +1151,10 @@ def test_time_limit_covers_the_d_star_solve(monkeypatch, call):
     left = []
     walk = solvers._walk_subsets
 
-    def timed_walk(D, adj, m, leaf, prune=None, max_nodes=None,
-                   deadline=None):
-        left.append(deadline - now[0])
-        return walk(D, adj, m, leaf, prune, max_nodes, deadline)
+    def timed_walk(D, adj, m, leaf, tick, prune=None):
+        # the walk ticks the call's ledger, whose deadline is its limit
+        left.append(tick.__self__.deadline - now[0])
+        return walk(D, adj, m, leaf, tick, prune)
 
     monkeypatch.setattr(solvers, "_walk_subsets", timed_walk)
     # the walk after the d* solve gets the seconds its k probes left
@@ -1160,6 +1171,73 @@ def test_time_limit_covers_the_d_star_solve(monkeypatch, call):
     assert left == [10.0, 0.5]
 
 
+def _above_optimum(spec):
+    # the instance and its first distinct distance above the MaxMin optimum
+    inst = _generate(spec)
+    values = spectrum_stats(inst).distinct_values
+    return inst, values[values.index(solve_maxmin_improved(inst, spec[2]).value)
+                        + 1]
+
+
+def _cached_exact_bilevel(budget):
+    inst = _generate(("gkd-d", 40, 6, 3))
+    solve_maxmin_improved(inst, 6)  # d* cached: the walk is the only search
+    return solve_bilevel(inst, 6, ObjectiveKind.MAXSUM, mode="exact",
+                         budget=budget)
+
+
+# name: (call(budget), the kernel its search runs in, the statuses it may
+# stop with, or None when it raises); each unlimited search visits more
+# than 300 nodes (359, 667, 2066 and 525)
+_STOP_RULE_CASES = {
+    "feasible_subset": (lambda budget: feasible_subset(
+        *_above_optimum(("gkd-d", 80, 8, 2)), 8, budget),
+        "_find_independent", (SolveStatus.BUDGET_EXCEEDED,)),
+    "max_packing": (lambda budget: max_packing(
+        *_above_optimum(("som", 100, 8, 0)), budget),
+        "_max_independent", (SolveStatus.FEASIBLE,)),
+    # feasible once it has an incumbent
+    "solve_maxsum_bnb": (lambda budget: solve_maxsum_bnb(
+        _generate(("mdg", 30, 6, 0)), 6, budget),
+        "_best_subset", (SolveStatus.BUDGET_EXCEEDED, SolveStatus.FEASIBLE)),
+    "solve_bilevel": (_cached_exact_bilevel, "_best_subset", None),
+}
+
+
+def _stopped_at(call, statuses, budget):
+    # the nodes a budget-stopped call visited: its stats, or the count its
+    # BudgetExceededError names
+    if statuses is None:
+        with pytest.raises(BudgetExceededError,
+                           match="exceeded budget after") as err:
+            call(budget)
+        return int(str(err.value).split("after ")[1].split()[0])
+    res = call(budget)
+    assert res.status in statuses
+    return res.stats.subsets_or_nodes_explored
+
+
+@pytest.mark.parametrize("name", sorted(_STOP_RULE_CASES))
+def test_every_node_search_keeps_the_shared_stop_rule(monkeypatch, name):
+    call, kernel, statuses = _STOP_RULE_CASES[name]
+    # max_nodes=k stops the search at its node k + 1
+    for k in (1, 100, 300):
+        assert _stopped_at(call, statuses, SolverBudget(max_nodes=k)) == k + 1
+    # the clock, read every 256 nodes, stops it at node 256 once the
+    # deadline has passed
+    now = _fake_clock(monkeypatch)
+    search = getattr(solvers, kernel)
+
+    def late(*args):
+        # 2 s on at each kernel call: past the 1 s limit of the ledger
+        # opened before it
+        now[0] += 2.0
+        return search(*args)
+
+    monkeypatch.setattr(solvers, kernel, late)
+    assert _stopped_at(call, statuses, SolverBudget(time_limit=1.0)) == 256
+
+
 @pytest.mark.parametrize("fields", [
     {"time_limit": float("nan")}, {"time_limit": 0.0}, {"time_limit": -1.0},
     {"max_nodes": 2.5}, {"max_nodes": True}, {"max_nodes": 0},
@@ -1173,7 +1251,8 @@ def test_budget_accepts_positive_limits():
     budget = SolverBudget(max_subsets=1, max_nodes=10 ** 30, time_limit=1)
     assert (budget.max_subsets, budget.max_nodes, budget.time_limit) \
         == (1, 10 ** 30, 1)
-    assert SolverBudget(time_limit=math.inf).deadline(2.0) == math.inf
+    assert solvers._Spend(SolverBudget(time_limit=math.inf)).deadline \
+        == math.inf
 
 
 @pytest.mark.parametrize("mode", ["enumerate", "exact"])
@@ -1183,20 +1262,17 @@ def test_bilevel_rejects_a_cap_below_one_in_both_modes(t4, mode):
     assert t4._maxmin == {}  # rejected before any solve
 
 
-def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
-                            deadline=None, cover_skip=True):
+def _reference_walk_subsets(D, adj, m, leaf, tick, prune=None,
+                            cover_skip=True):
     # _walk_subsets as it was before it looked for a live child first: every
     # inner node builds its gains and asks prune before it scans children.
     # A walk without prune skips a child that needs 2 or more picks when
     # a greedy clique cover of its candidates has fewer cliques;
     # cover_skip=False gives the walk as it was before that skip
-    nodes = 0
     n = len(adj)
 
     def rec(cand, chosen, cur):
-        nonlocal nodes
-        nodes += 1
-        solvers._check_limits(nodes, max_nodes, deadline)
+        tick()
         need = m - len(chosen)
         if need == 0:
             return leaf(chosen, cur)
@@ -1234,14 +1310,11 @@ def _reference_walk_subsets(D, adj, m, leaf, prune=None, max_nodes=None,
 
     try:
         rec((1 << len(adj)) - 1, [], 0.0)
-    except solvers._Exhausted:
-        return nodes, True
     finally:
         del rec
-    return nodes, False
 
 
-def _reference_best_subset(D, adj, m, upper_kind, max_nodes, deadline):
+def _reference_best_subset(D, adj, m, upper_kind, tick):
     # _best_subset as it was before its prune waited for an incumbent
     maxsum = upper_kind is ObjectiveKind.MAXSUM
     best_val = -math.inf
@@ -1262,9 +1335,12 @@ def _reference_best_subset(D, adj, m, upper_kind, max_nodes, deadline):
             bound = 2.0 * bound / m
         return bound <= best_val
 
-    nodes, exhausted = solvers._walk_subsets(D, adj, m, leaf, prune,
-                                             max_nodes, deadline)
-    return best_combo, leaves, nodes, exhausted
+    try:
+        solvers._walk_subsets(D, adj, m, leaf, tick, prune)
+    except solvers._Exhausted as stop:
+        stop.incumbent = best_combo
+        raise
+    return best_combo, leaves
 
 
 def _walk_log(monkeypatch, walk, call):
@@ -1287,8 +1363,9 @@ def _walk_log(monkeypatch, walk, call):
 def _listing_walk(walk, adj, m):
     # (nodes, exhausted, leaves) of a prune-less walk that lists every leaf
     leaves = []
-    nodes, exhausted = walk(None, adj, m, lambda chosen, cur:
-                            leaves.append(tuple(chosen)) or True)
+    _, nodes, exhausted = _ticked(lambda tick: walk(
+        None, adj, m, lambda chosen, cur: leaves.append(tuple(chosen)) or True,
+        tick))
     return nodes, exhausted, leaves
 
 
@@ -1317,18 +1394,19 @@ def test_walker_same_as_reference_walker(monkeypatch, spec):
         runs.append(((0,) * n, ObjectiveKind.MAXSUM))  # MaxSum B&B
     for adj, kind in runs:
         for max_nodes in (None, 50, 300, 2_000):
-            args = (D, adj, m, kind, max_nodes, None)
+            def best(search):
+                return lambda: _ticked(lambda tick: search(D, adj, m, kind,
+                                                           tick), max_nodes)
             got = _walk_log(monkeypatch, solvers._walk_subsets,
-                            lambda: solvers._best_subset(*args))
+                            best(solvers._best_subset))
             want = _walk_log(monkeypatch, _reference_walk_subsets,
-                             lambda: _reference_best_subset(*args))
+                             best(_reference_best_subset))
             assert got == want, (kind, max_nodes)
     # MaxMin enumeration: no prune, so every independent m-set of G(z*)
     for max_nodes in (None, 50, 300):
         def enumerate_walk():
-            return solvers._walk_subsets(None, g_star, m,
-                                         lambda chosen, cur: True,
-                                         None, max_nodes)
+            return _ticked(lambda tick: solvers._walk_subsets(
+                None, g_star, m, lambda chosen, cur: True, tick), max_nodes)
         got = _walk_log(monkeypatch, solvers._walk_subsets, enumerate_walk)
         want = _walk_log(monkeypatch, _reference_walk_subsets, enumerate_walk)
         assert got == want, max_nodes
