@@ -71,15 +71,16 @@ def _parse_subset(text: str, n: int) -> Solution:
 
 
 def _budget_from(args: argparse.Namespace) -> SolverBudget:
-    return SolverBudget(max_subsets=args.max_subsets,
-                        max_nodes=args.max_nodes, time_limit=args.time_limit)
+    return SolverBudget(max_nodes=args.max_nodes, time_limit=args.time_limit)
 
 
 def _split_models(text: str, allowed: Sequence[str]) -> list[str]:
     models = [tok for tok in text.replace(",", " ").split() if tok]
-    for name in models:
+    for i, name in enumerate(models):
         if name not in allowed:
             raise ValueError(f"unknown model {name!r}; choose from {allowed}")
+        if name in models[:i]:
+            raise ValueError(f"model {name!r} listed twice")
     return models
 
 
@@ -198,6 +199,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not models:
         raise ValueError("analyze needs at least one model")
     instances = [_load_instance(p) for p in args.instances]
+    for inst in instances:
+        # deviations and the normalized histogram divide by distances
+        if inst.d_max == 0:
+            raise ValueError(f"instance {inst.name} has no positive distance")
     budget = _budget_from(args)
     out = Path(args.out)
     results = {}
@@ -318,6 +323,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from .analysis import BenchJob, _csv, benchmark_csv, benchmark_summary
     family = Family.from_string(args.family)
     models = _split_models(args.models, _ANALYZE_MODELS)
+    if not models:
+        raise ValueError("bench needs at least one model")
     budget = _budget_from(args)
     out = Path(args.out)
     set_name = f"{family.value}_n{args.n}_m{args.m}"
@@ -371,9 +378,8 @@ def _budget_parser(time_limit: Optional[float]) -> argparse.ArgumentParser:
     budget.add_argument("--time-limit", type=float, default=time_limit,
                         help="wall-clock budget per solve (seconds)")
     budget.add_argument("--max-nodes", type=int, default=None,
-                        help="search-node budget per solve")
-    budget.add_argument("--max-subsets", type=int, default=None,
-                        help="subset budget for brute-force solves")
+                        help="search-node budget per solve; brute force "
+                             "counts each subset it scores as a node")
     return budget
 
 

@@ -101,8 +101,9 @@ class SolveResult:
 class SolverBudget:
     """Limits for one solver call; None means unlimited.
 
-    ``max_subsets`` bounds the brute-force oracle, ``max_nodes`` the
-    backtracking searches and ``time_limit`` the wall clock (seconds).
+    ``max_nodes`` bounds the search nodes, where one subset scored by the
+    brute-force oracle is one node, and ``time_limit`` the wall clock
+    (seconds).
     Each limit holds over the whole call, however many searches it makes:
     all probes of a MaxMin solve, and the d* solve plus the subset walk of
     solve_bilevel and enumerate_maxmin_optima.  Every public solver opens
@@ -113,17 +114,16 @@ class SolverBudget:
     an independent completion, is skipped unvisited and costs nothing.
     """
 
-    max_subsets: Optional[int] = None
     max_nodes: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_subsets", "max_nodes", "time_limit"):
+        for name in ("max_nodes", "time_limit"):
             v = getattr(self, name)
             if v is None:
                 continue
-            if name != "time_limit" and (isinstance(v, bool)
-                                         or not isinstance(v, int)):
+            if name == "max_nodes" and (isinstance(v, bool)
+                                        or not isinstance(v, int)):
                 raise ValueError(f"budget field {name} must be an int, got {v!r}")
             if not v > 0:  # NaN too, which compares false with every limit
                 raise ValueError(f"budget field {name} must be positive, got {v}")
@@ -708,19 +708,6 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
                              truncated=len(found) > cap, value=z_star)
 
 
-def _subset_sizes(instance: Instance, m: Optional[int],
-                  kind: ObjectiveKind) -> tuple[list[int], int]:
-    """Subset sizes of an exhaustive walk and the number of subsets it
-    scores, which the subset budget is held against."""
-    n = instance.n
-    if kind is ObjectiveKind.MAXMEAN:
-        return list(range(1, n + 1)), 2 ** n - 1
-    if m is None:
-        raise ValueError(f"{kind.value} requires a subset size m")
-    _validate_m(instance, m)
-    return [m], comb(n, m)
-
-
 def _unrank_blocks(n: int, k: int) -> Iterator[np.ndarray]:
     """combinations(range(n), k) in lexicographic order, as (rows, k) intp
     index arrays of at most _BLOCK_ROWS rows, unranked in numpy.
@@ -840,12 +827,24 @@ class _Incumbent:
         return False
 
 
-def _scored_blocks(instance: Instance, sizes: list[int], kind: ObjectiveKind,
+def _scored_blocks(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                    spend: _Spend) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of the brute-force walk with its scores, its rows charged
-    to spend.nodes.  Past spend's deadline, raises _Exhausted before any
-    block after the first."""
-    for i, block in enumerate(_combination_blocks(instance.n, sizes)):
+    """The brute-force walk over every m-subset (every non-empty subset for
+    MaxMean): each block with its scores, each row charged to spend.nodes
+    as one node.  Raises _Exhausted before the first block when the walk's
+    subset count, C(n, m) or 2^n - 1, exceeds max_nodes, and past spend's
+    deadline before any block after the first."""
+    n = instance.n
+    if kind is ObjectiveKind.MAXMEAN:
+        sizes, total = list(range(1, n + 1)), 2 ** n - 1
+    elif m is None:
+        raise ValueError(f"{kind.value} requires a subset size m")
+    else:
+        _validate_m(instance, m)
+        sizes, total = [m], comb(n, m)
+    if total > spend.max_nodes:
+        raise _Exhausted
+    for i, block in enumerate(_combination_blocks(n, sizes)):
         if i and time.perf_counter() > spend.deadline:
             raise _Exhausted
         spend.nodes += len(block)
@@ -860,28 +859,28 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     blocks of up to _BLOCK_ROWS, from an (n, k) table unranked once per
     process when C(n, k) <= _TABLE_MAX_ROWS (2^17) and unranked block by
     block past that.  _score_block scores each block; its values equal the
-    per-subset reference _score_plain bit for bit.  Refuses upfront (status
-    BudgetExceeded) when the subset count, C(n, m) or 2^n - 1 for MaxMean,
-    exceeds the budget.  The time limit is checked before each block after
-    the first.  Ties go to the lexicographically smallest index tuple.
+    per-subset reference _score_plain bit for bit.  Each scored subset is
+    one node: a walk of more subsets, C(n, m) or 2^n - 1 for MaxMean, than
+    max_nodes is refused before its first block (status BudgetExceeded,
+    no subset).  The time limit is checked before each block after the
+    first, so a time-limited walk returns a Feasible subset.  Ties go to
+    the lexicographically smallest index tuple.
     """
     spend = _Spend(budget)
-    sizes, total = _subset_sizes(instance, m, kind)
-    max_subsets = spend.budget.max_subsets
-    if max_subsets is not None and total > max_subsets:
-        return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None,
-                           spend.stats())
-
     best = _Incumbent(kind.sense is Sense.MAX)
     status = SolveStatus.OPTIMAL
     try:
-        for block, scores in _scored_blocks(instance, sizes, kind, spend):
+        for block, scores in _scored_blocks(instance, m, kind, spend):
             best.offer(block, scores)
     except _Exhausted:
+        # refused before its first block, or stopped by the clock after it
+        if best.combo is None:
+            return SolveResult(kind, SolveStatus.BUDGET_EXCEEDED, None, None,
+                               spend.stats())
         status = SolveStatus.FEASIBLE
     sol = Solution(best.combo)
-    stats = spend.stats()
-    return SolveResult(kind, status, sol, evaluate(kind, instance, sol), stats)
+    return SolveResult(kind, status, sol, evaluate(kind, instance, sol),
+                       spend.stats())
 
 
 def _score_block(D: np.ndarray, block: np.ndarray,
@@ -974,17 +973,14 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     earlier kept rows score at least as well.  The optimum is the evaluated
     brute-force incumbent, and the kept rows within tolerance of it are the
     optima.  Raises BudgetExceededError when the subset count exceeds
-    max_subsets or the time limit passes before the walk ends.
+    max_nodes, before any subset is scored, or when the time limit passes
+    before the walk ends.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
     if kind is ObjectiveKind.MAXMIN:
         return enumerate_maxmin_optima(instance, m, cap=cap, budget=budget)
     spend = _Spend(budget)
-    sizes, total = _subset_sizes(instance, m, kind)
-    max_subsets = spend.budget.max_subsets
-    if max_subsets is not None and total > max_subsets:
-        raise BudgetExceededError("enumeration bound exceeds budget")
     sense_max = kind.sense is Sense.MAX
     best = _Incumbent(sense_max)
     # (gain, score, subset) in walk order; gain is the score, negated when
@@ -993,7 +989,7 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     floor = -inf  # lowest gain within twice the tolerance of the best
     cap_floor: Optional[float] = None  # lowest gain of kept[:cap + 1]
     try:
-        for block, scores in _scored_blocks(instance, sizes, kind, spend):
+        for block, scores in _scored_blocks(instance, m, kind, spend):
             if best.offer(block, scores):
                 top = best.value if sense_max else -best.value
                 floor = top - 2 * _OPTIMA_REL_TOL * max(1.0, abs(top))
@@ -1011,8 +1007,8 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 kept[cap + 1:] = [row for row in kept[cap + 1:]
                                   if row[0] > cap_floor]
     except _Exhausted:
-        raise BudgetExceededError(
-            "optimum not proven within time budget") from None
+        raise BudgetExceededError(f"optima enumeration exceeded budget after "
+                                  f"{spend.nodes} nodes") from None
     opt = evaluate(kind, instance, Solution(best.combo))
     tol = _OPTIMA_REL_TOL * max(1.0, abs(opt))
     found = [Solution(nodes) for _, score, nodes in kept

@@ -7,10 +7,11 @@ can be asserted without subprocesses.
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from divopt import (Family, FormulationKind, GeneratorSpec, HistogramMode,
-                    ObjectiveKind, enumerate_maxmin_optima, generate,
+                    Instance, ObjectiveKind, enumerate_maxmin_optima, generate,
                     histogram, solve_bilevel, solve_model, write_instance)
 from divopt.cli import _LP_KINDS, build_parser, main
 from divopt.plots import histogram_svg
@@ -374,6 +375,52 @@ def test_bench_outputs(tmp_path, capsys):
     assert all(line.endswith(",0") for line in summary[1:])  # all optimal
 
 
+@pytest.mark.parametrize("models", ["", " , ", "maxsum,maxsum"])
+def test_bench_refuses_an_empty_or_repeated_model_list(models, tmp_path,
+                                                       capsys):
+    # an empty list once wrote results.csv before it failed; a repeated
+    # name was solved and counted twice
+    out = tmp_path / "bench"
+    code = main(["bench", "--family", "som", "--n", "8", "--m", "3",
+                 "--count", "1", "--models", models, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_analyze_and_plot_refuse_a_repeated_model(t4_file, tmp_path, capsys):
+    rep = tmp_path / "rep"
+    assert main(["analyze", t4_file, "--m", "3", "--models",
+                 "maxsum,maxmin,maxsum", "--out", str(rep)]) == 1
+    assert "model 'maxsum' listed twice" in capsys.readouterr().err
+    assert not rep.exists()
+    fig = tmp_path / "s.svg"
+    assert main(["plot", t4_file, "--m", "3", "--models", "maxmin maxmin",
+                 "--out", str(fig)]) == 1
+    assert "model 'maxmin' listed twice" in capsys.readouterr().err
+    assert not fig.exists()
+
+
+def test_analyze_refuses_an_instance_with_no_positive_distance(
+        t4_file, tmp_path, capsys):
+    # deviations and the normalized histogram divide by distances; such an
+    # instance once wrote solutions.csv and geometry.csv before it failed
+    flat = Instance(name="flat", family=Family.CUSTOM,
+                    distances=np.zeros((6, 6)))
+    path = tmp_path / "flat.txt"
+    path.write_text(write_instance(flat), encoding="utf-8")
+    rep = tmp_path / "rep"
+    code = main(["analyze", t4_file, str(path), "--m", "3",
+                 "--out", str(rep)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: instance flat has no positive distance\n"
+    assert not rep.exists()
+
+
 def test_bench_budget_stopped_jobs_have_no_deviation(tmp_path, capsys):
     # one job per (instance, model) and none proven optimal: no job has a
     # reference but its own value, so the deviation is NA, not 0
@@ -396,16 +443,34 @@ def test_only_bench_defaults_a_time_limit():
 
     def limits(*argv):
         args = parser.parse_args(argv)
-        return args.time_limit, args.max_nodes, args.max_subsets
+        return args.time_limit, args.max_nodes
 
     bench = ("bench", "--family", "som", "--n", "8", "--m", "3", "--out", "b")
-    assert limits(*bench) == (60.0, None, None)
-    assert limits(*bench, "--time-limit", "5", "--max-nodes", "7",
-                  "--max-subsets", "9") == (5.0, 7, 9)
+    assert limits(*bench) == (60.0, None)
+    assert limits(*bench, "--time-limit", "5", "--max-nodes", "7") == (5.0, 7)
     for argv in (("solve", "a.txt", "--model", "maxmin"),
                  ("analyze", "a.txt", "--out", "o"),
                  ("plot", "a.txt", "--out", "o.svg")):
-        assert limits(*argv) == (None, None, None)
+        assert limits(*argv) == (None, None)
+
+
+def test_brute_force_solve_obeys_max_nodes(tmp_path, capsys):
+    # C(12, 4) = 495 subsets, more than the 5 nodes: refused unscored
+    inst = generate(GeneratorSpec(family=Family.SOM, n=12, m=4, seed=0))
+    path = tmp_path / f"{inst.name}.txt"
+    path.write_text(write_instance(inst), encoding="utf-8")
+    code, out = run(capsys, "solve", str(path), "--model", "maxminsum",
+                    "--max-nodes", "5", "--strict")
+    assert code == 2
+    assert out.splitlines() == ["model maxminsum", "status budget_exceeded",
+                                "explored 0"]
+    code, out = run(capsys, "solve", str(path), "--model", "maxminsum",
+                    "--max-nodes", "495", "--strict")
+    assert code == 0
+    assert "status optimal" in out and "explored 495" in out
+    # the subset budget is gone with its flag
+    assert main(["solve", str(path), "--model", "maxminsum",
+                 "--max-subsets", "5"]) == 1
 
 
 def test_exit_codes(t4_file):

@@ -285,25 +285,51 @@ def test_brute_force_maxmean_free_size(t4):
 
 def test_brute_force_subset_budget(t4):
     res = brute_force(t4, 3, ObjectiveKind.MAXSUM,
-                      SolverBudget(max_subsets=2))
+                      SolverBudget(max_nodes=2))
     assert res.status is SolveStatus.BUDGET_EXCEEDED
 
 
 def test_maxmean_subset_budget_counts_nonempty_subsets(t4):
     # MaxMean scores the 2^4 - 1 = 15 non-empty subsets of t4
     res = brute_force(t4, None, ObjectiveKind.MAXMEAN,
-                      SolverBudget(max_subsets=15))
+                      SolverBudget(max_nodes=15))
     assert res.status is SolveStatus.OPTIMAL
     assert res.stats.subsets_or_nodes_explored == 15
     res = brute_force(t4, None, ObjectiveKind.MAXMEAN,
-                      SolverBudget(max_subsets=14))
+                      SolverBudget(max_nodes=14))
     assert res.status is SolveStatus.BUDGET_EXCEEDED
     en = enumerate_optima(t4, None, ObjectiveKind.MAXMEAN,
-                          budget=SolverBudget(max_subsets=15))
+                          budget=SolverBudget(max_nodes=15))
     assert [tuple(s) for s in en.solutions] == [(0, 1, 2, 3)]
-    with pytest.raises(BudgetExceededError, match="bound exceeds"):
+    with pytest.raises(BudgetExceededError, match="after 0 nodes"):
         enumerate_optima(t4, None, ObjectiveKind.MAXMEAN,
-                         budget=SolverBudget(max_subsets=14))
+                         budget=SolverBudget(max_nodes=14))
+
+
+@pytest.mark.parametrize("kind, m, subsets", [
+    (ObjectiveKind.MAXMINSUM, 6, math.comb(12, 6)),
+    (ObjectiveKind.MAXMEAN, None, 2 ** 12 - 1)])
+def test_brute_force_counts_each_subset_against_max_nodes(kind, m, subsets):
+    # one scored subset is one node: a budget of exactly the subset count
+    # finishes, and one less is refused before any subset is scored
+    inst = generate(GeneratorSpec(family=Family.SOM, n=12, m=4, seed=0))
+    full = brute_force(inst, m, kind)
+    res = brute_force(inst, m, kind, SolverBudget(max_nodes=subsets))
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.stats.subsets_or_nodes_explored == subsets
+    assert (res.solution, res.value) == (full.solution, full.value)
+    en = enumerate_optima(inst, m, kind,
+                          budget=SolverBudget(max_nodes=subsets))
+    assert en.solutions == enumerate_optima(inst, m, kind).solutions
+    res = brute_force(inst, m, kind, SolverBudget(max_nodes=subsets - 1))
+    assert res.status is SolveStatus.BUDGET_EXCEEDED
+    assert res.stats.subsets_or_nodes_explored == 0
+    assert (res.solution, res.value) == (None, None)
+    with pytest.raises(BudgetExceededError,
+                       match="^optima enumeration exceeded budget after "
+                             "0 nodes$"):
+        enumerate_optima(inst, m, kind,
+                         budget=SolverBudget(max_nodes=subsets - 1))
 
 
 def _tie_heavy(seed, n, values):
@@ -576,15 +602,15 @@ def test_brute_force_time_limit_gives_feasible_subset():
 
 
 def test_enumerate_optima_budgets(t4):
-    with pytest.raises(BudgetExceededError, match="bound exceeds"):
+    with pytest.raises(BudgetExceededError, match="after 0 nodes"):
         enumerate_optima(t4, 3, ObjectiveKind.MAXSUM,
-                         budget=SolverBudget(max_subsets=3))
+                         budget=SolverBudget(max_nodes=3))
     inst = generate(GeneratorSpec(family=Family.MDG, n=20, m=6, seed=1))
-    with pytest.raises(BudgetExceededError, match="time budget"):
+    with pytest.raises(BudgetExceededError, match="exceeded budget after"):
         enumerate_optima(inst, 6, ObjectiveKind.MINDIFF,
                          budget=SolverBudget(time_limit=1e-9))
     en = enumerate_optima(t4, 3, ObjectiveKind.MAXSUM,
-                          budget=SolverBudget(max_subsets=4))
+                          budget=SolverBudget(max_nodes=4))
     assert [tuple(s) for s in en.solutions] == [(1, 2, 3)]
 
 
@@ -603,7 +629,8 @@ def test_enumerate_optima_checks_the_deadline_between_blocks(monkeypatch):
 
     monkeypatch.setattr(solvers, "_score_block", spy)
     inst = _tie_heavy(3, 16, [1.0, 2.0])
-    with pytest.raises(BudgetExceededError, match="not proven within time"):
+    with pytest.raises(BudgetExceededError,
+                       match=f"exceeded budget after {_BLOCK_ROWS} nodes"):
         enumerate_optima(inst, 5, ObjectiveKind.MAXSUM,
                          budget=SolverBudget(time_limit=1.0))
     assert scored == [_BLOCK_ROWS]
@@ -1240,17 +1267,15 @@ def test_every_node_search_keeps_the_shared_stop_rule(monkeypatch, name):
 
 @pytest.mark.parametrize("fields", [
     {"time_limit": float("nan")}, {"time_limit": 0.0}, {"time_limit": -1.0},
-    {"max_nodes": 2.5}, {"max_nodes": True}, {"max_nodes": 0},
-    {"max_subsets": 1.0}, {"max_subsets": False}, {"max_subsets": -3}])
+    {"max_nodes": 2.5}, {"max_nodes": True}, {"max_nodes": 0}])
 def test_budget_rejects_bad_limits(fields):
     with pytest.raises(ValueError, match="budget field"):
         SolverBudget(**fields)
 
 
 def test_budget_accepts_positive_limits():
-    budget = SolverBudget(max_subsets=1, max_nodes=10 ** 30, time_limit=1)
-    assert (budget.max_subsets, budget.max_nodes, budget.time_limit) \
-        == (1, 10 ** 30, 1)
+    budget = SolverBudget(max_nodes=10 ** 30, time_limit=1)
+    assert (budget.max_nodes, budget.time_limit) == (10 ** 30, 1)
     assert solvers._Spend(SolverBudget(time_limit=math.inf)).deadline \
         == math.inf
 
