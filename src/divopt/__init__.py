@@ -44,8 +44,8 @@ _LAZY = {name: module for module, names in {
                  "benchmark_summary", "compute_pairing", "cross_model_csv",
                  "cross_model_report", "deviation_pct", "geometry_csv",
                  "geometry_stats", "histogram", "histogram_csv",
-                 "multiplicity_csv", "multiplicity_report", "pearson",
-                 "relative_range"),
+                 "multiplicity_csv", "multiplicity_report", "pair_results",
+                 "pearson", "relative_range"),
     "milp": ("ExternalCheck", "FormulationKind", "TighteningConstants",
              "compute_constants", "emit", "parse_solution_vector",
              "verify_external"),
@@ -88,7 +88,8 @@ __all__ = [
     "eval_mindiff", "evaluate", "feasible_subset", "generate",
     "geometry_csv", "geometry_stats", "histogram", "histogram_csv",
     "histogram_svg", "max_packing", "multiplicity_csv",
-    "multiplicity_report", "parse_instance", "parse_solution_vector",
+    "multiplicity_report", "pair_results", "parse_instance",
+    "parse_solution_vector",
     "pearson", "relative_range", "scatter_svg", "solve_bilevel",
     "solve_maxmin_improved", "solve_maxmin_original", "solve_maxsum_bnb",
     "solve_model", "spectrum_stats", "truncate", "verify_external",

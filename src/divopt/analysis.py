@@ -19,10 +19,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .instances import Instance
-from .objectives import (ObjectiveKind, Sense, Solution, _pair_distances,
-                         evaluate)
-from .solvers import (DEFAULT_OPTIMA_CAP, BudgetExceededError, SolveStatus,
-                      SolverBudget, enumerate_maxmin_optima, solve_model)
+from .objectives import ObjectiveKind, Solution, _pair_distances, evaluate
+from .solvers import (DEFAULT_OPTIMA_CAP, BudgetExceededError, SolveResult,
+                      SolveStatus, SolverBudget, enumerate_maxmin_optima,
+                      solve_model)
 
 
 def deviation_pct(reference: float, other: float) -> float:
@@ -93,18 +93,24 @@ def cross_model_report(set_name: str,
                          avg_dev=sum(devs) / len(devs))
 
 
+def pair_results(instance: Instance, primary_res: SolveResult,
+                 secondary_res: SolveResult) -> PairedObjectives:
+    """The paired numbers of two models solved on one instance, under the
+    primary objective of ``primary_res.kind``."""
+    return PairedObjectives(
+        primary_optimum=primary_res.value,
+        primary_at_secondary=evaluate(primary_res.kind, instance,
+                                      secondary_res.solution),
+        secondary_optimum=secondary_res.value,
+    )
+
+
 def compute_pairing(instance: Instance, m: int,
                     primary: ObjectiveKind, secondary: ObjectiveKind,
                     budget: Optional[SolverBudget] = None) -> PairedObjectives:
     """Solve both models on one instance and package the paired numbers."""
-    primary_res = solve_model(instance, m, primary, budget)
-    secondary_res = solve_model(instance, m, secondary, budget)
-    return PairedObjectives(
-        primary_optimum=primary_res.value,
-        primary_at_secondary=evaluate(primary, instance,
-                                      secondary_res.solution),
-        secondary_optimum=secondary_res.value,
-    )
+    return pair_results(instance, solve_model(instance, m, primary, budget),
+                        solve_model(instance, m, secondary, budget))
 
 
 class HistogramMode(Enum):
@@ -254,10 +260,8 @@ class BenchJob:
     """One solver run: which instance set, what model, how it ended."""
 
     set_name: str
-    instance_name: str
     kind: ObjectiveKind
     status: SolveStatus
-    value: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -266,56 +270,21 @@ class BenchRow:
     kind: ObjectiveKind
     count: int
     solved_count: int
-    avg_dev_from_best: Optional[float]
 
 
 def benchmark_summary(jobs: Sequence[BenchJob]) -> list[BenchRow]:
-    """Roll jobs up per (set, model): solved counts and deviation from best.
-
-    The best-known value per instance and model is the sense-aware best
-    over all job incumbents.  Proven-optimal jobs contribute deviation 0.
-    A job that is not proven optimal is measured only when another job on
-    the same instance and model has an incumbent: alone, its own value
-    would be its reference and its deviation 0 by construction.  Jobs
-    without such a reference, without an incumbent, or with a zero best are
-    excluded from the average, which is None (NA) when no job is left.
-    """
+    """Roll jobs up per (set, model): job and proven-optimal counts."""
     if not jobs:
         raise ValueError("benchmark summary needs at least one job")
-    incumbents: dict[tuple[str, ObjectiveKind], list[float]] = {}
-    for job in jobs:
-        if job.value is not None:
-            incumbents.setdefault((job.instance_name, job.kind),
-                                  []).append(job.value)
-
     grouped: dict[tuple[str, str], list[BenchJob]] = {}
     for job in jobs:
         grouped.setdefault((job.set_name, job.kind.value), []).append(job)
-
-    rows = []
-    for (set_name, kind_value), members in sorted(grouped.items()):
-        kind = ObjectiveKind.from_string(kind_value)
-        devs = []
-        for job in members:
-            if job.status is SolveStatus.OPTIMAL:
-                devs.append(0.0)
-                continue
-            values = incumbents.get((job.instance_name, job.kind), [])
-            if job.value is None or len(values) < 2:
-                continue  # no incumbent, or none but its own
-            ref = max(values) if job.kind.sense is Sense.MAX else min(values)
-            if ref == 0:
-                continue
-            if job.kind.sense is Sense.MAX:
-                devs.append(deviation_pct(ref, job.value))
-            else:
-                devs.append(100.0 * (job.value - ref) / ref)
-        rows.append(BenchRow(
-            set_name=set_name, kind=kind, count=len(members),
-            solved_count=sum(1 for j in members
-                             if j.status is SolveStatus.OPTIMAL),
-            avg_dev_from_best=sum(devs) / len(devs) if devs else None))
-    return rows
+    return [BenchRow(set_name=set_name,
+                     kind=ObjectiveKind.from_string(kind_value),
+                     count=len(members),
+                     solved_count=sum(1 for j in members
+                                      if j.status is SolveStatus.OPTIMAL))
+            for (set_name, kind_value), members in sorted(grouped.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +342,6 @@ def multiplicity_csv(summary: MultiplicitySummary) -> str:
 
 
 def benchmark_csv(rows: Sequence[BenchRow]) -> str:
-    return _csv(("set", "model", "count", "solved", "avg_dev_from_best"),
-                ((r.set_name, r.kind.value, r.count, r.solved_count,
-                  r.avg_dev_from_best) for r in rows))
+    return _csv(("set", "model", "count", "solved"),
+                ((r.set_name, r.kind.value, r.count, r.solved_count)
+                 for r in rows))

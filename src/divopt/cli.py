@@ -123,6 +123,8 @@ def _solve_named(inst: Instance, name: str, m: Optional[int],
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.m is not None and args.model == "maxmean":
+        raise ValueError("maxmean chooses its own subset size; drop --m")
     inst = _load_instance(args.instance)
     m = args.m if args.m is not None else inst.default_m
     res = _solve_named(inst, args.model, m, _budget_from(args),
@@ -194,7 +196,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import (HistogramMode, _csv, cross_model_csv,
                            cross_model_report, geometry_csv, geometry_stats,
                            histogram, histogram_csv, multiplicity_csv,
-                           multiplicity_report)
+                           multiplicity_report, pair_results)
     models = _split_models(args.models, _ANALYZE_MODELS)
     if not models:
         raise ValueError("analyze needs at least one model")
@@ -241,8 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 secondary_res = results[(inst.name, secondary)]
                 if primary_res.solution is None or secondary_res.solution is None:
                     continue
-                pairs.append(
-                    _pairing_from_results(inst, primary_res, secondary_res))
+                pairs.append(pair_results(inst, primary_res, secondary_res))
             if pairs:
                 cross_rows.append(cross_model_report(
                     f"maxsum_vs_{secondary}", pairs))
@@ -271,15 +272,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.strict and exhausted:
         return 2
     return 0
-
-
-def _pairing_from_results(inst, primary_res, secondary_res):
-    from .analysis import PairedObjectives
-    return PairedObjectives(
-        primary_optimum=primary_res.value,
-        primary_at_secondary=evaluate(ObjectiveKind.MAXSUM, inst,
-                                      secondary_res.solution),
-        secondary_optimum=secondary_res.value)
 
 
 def _model_subset(inst: Instance, m: Optional[int], name: str,
@@ -337,9 +329,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for name in models:
             kind = ObjectiveKind.from_string(name)
             res = solve_model(inst, args.m, kind, budget)
-            jobs.append(BenchJob(set_name=set_name, instance_name=inst.name,
-                                 kind=kind, status=res.status,
-                                 value=res.value))
+            jobs.append(BenchJob(set_name=set_name, kind=kind,
+                                 status=res.status))
             result_rows.append((set_name, inst.name, name, res.status.value,
                                 res.value))
     _atomic_write(out / "results.csv",

@@ -803,8 +803,8 @@ def _combination_blocks(n: int, sizes: list[int]) -> Iterator[np.ndarray]:
 
 
 class _Incumbent:
-    """The best score of a brute-force walk and the lexicographically
-    smallest subset attaining it."""
+    """The best score of a brute-force walk and the first subset in walk
+    order attaining it: by size, then lexicographically."""
 
     def __init__(self, sense_max: bool) -> None:
         self.sense_max = sense_max
@@ -819,11 +819,9 @@ class _Incumbent:
         row = int(scores.argmax() if self.sense_max else scores.argmin())
         val, combo = float(scores[row]), tuple(block[row].tolist())
         if (self.value is None
-                or (val > self.value if self.sense_max else val < self.value)
-                or (val == self.value and combo < self.combo)):
-            changed = val != self.value
+                or (val > self.value if self.sense_max else val < self.value)):
             self.value, self.combo = val, combo
-            return changed
+            return True
         return False
 
 
@@ -864,7 +862,8 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     max_nodes is refused before its first block (status BudgetExceeded,
     no subset).  The time limit is checked before each block after the
     first, so a time-limited walk returns a Feasible subset.  Ties go to
-    the lexicographically smallest index tuple.
+    the first subset walked: the lexicographically smallest index tuple,
+    and for MaxMean the smallest size first.
     """
     spend = _Spend(budget)
     best = _Incumbent(kind.sense is Sense.MAX)
@@ -959,9 +958,9 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     lexicographically within a size.
 
     Only MaxMean has subsets of more than one size, so only its order
-    differs from lexicographic: its first listed optimum can be smaller
-    than the one brute_force returns, which breaks ties by plain tuple
-    order across sizes.
+    differs from lexicographic.  brute_force keeps the first best subset
+    of the same walk, so when the optima tie exactly it returns the first
+    one listed here.
 
     Sum-type values match the optimum within relative tolerance
     ``_OPTIMA_REL_TOL``; MaxMin matches exactly (delegated to the

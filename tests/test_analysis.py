@@ -8,7 +8,8 @@ from divopt import (BenchJob, Family, GeneratorSpec, HistogramMode, Instance,
                     SolverBudget, benchmark_csv, benchmark_summary,
                     compute_pairing, cross_model_report, deviation_pct,
                     generate, geometry_stats, histogram, histogram_csv,
-                    multiplicity_report, pearson, relative_range)
+                    multiplicity_report, pair_results, pearson,
+                    relative_range, solve_model)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,16 @@ def test_compute_pairing_t4(t4):
     assert p.primary_optimum == 15.0
     assert p.primary_at_secondary == 15.0
     assert p.secondary_optimum == 4.0
+
+
+def test_pair_results_scores_under_the_primary_kind(t4):
+    # MinDiff's optimum is 2 on {1,2,3}; on MaxMean's optimum {0,1,2,3}
+    # the contributions 6, 10, 12, 14 give it 8
+    mindiff = solve_model(t4, 3, ObjectiveKind.MINDIFF)
+    maxmean = solve_model(t4, None, ObjectiveKind.MAXMEAN)
+    p = pair_results(t4, mindiff, maxmean)
+    assert (p.primary_optimum, p.secondary_optimum) == (2.0, 5.25)
+    assert p.primary_at_secondary == 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,47 +200,24 @@ def test_relative_range():
 # benchmark roll-up
 # ---------------------------------------------------------------------------
 
-def _job(inst, kind, status, value, set_name="s"):
-    return BenchJob(set_name=set_name, instance_name=inst, kind=kind,
-                    status=status, value=value)
-
-
-def test_benchmark_summary_dev_from_best():
-    k = ObjectiveKind.MAXSUM
-    jobs = [_job("i1", k, SolveStatus.OPTIMAL, 100.0),
-            _job("i1", k, SolveStatus.FEASIBLE, 90.0),
-            _job("i2", k, SolveStatus.FEASIBLE, 40.0)]
-    rows = benchmark_summary(jobs)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.count == 3 and row.solved_count == 1
-    # devs: optimal -> 0; 90 vs best 100 -> 10; 40 has no other job's
-    # incumbent to be measured against, so it is left out
-    assert row.avg_dev_from_best == pytest.approx(10.0 / 2.0)
-
-
-def test_benchmark_summary_minimization_sense():
-    k = ObjectiveKind.MINDIFF
-    jobs = [_job("i1", k, SolveStatus.FEASIBLE, 8.0),
-            _job("i1", k, SolveStatus.FEASIBLE, 10.0)]
-    row = benchmark_summary(jobs)[0]
-    # best-known is the smaller value for a minimization model
-    assert row.avg_dev_from_best == pytest.approx((0.0 + 25.0) / 2.0)
+def _job(kind, status, set_name="s"):
+    return BenchJob(set_name=set_name, kind=kind, status=status)
 
 
 def test_benchmark_summary_missing_values():
     k = ObjectiveKind.MAXSUM
-    jobs = [_job("i1", k, SolveStatus.BUDGET_EXCEEDED, None)]
+    jobs = [_job(k, SolveStatus.BUDGET_EXCEEDED),
+            _job(k, SolveStatus.FEASIBLE),
+            _job(k, SolveStatus.OPTIMAL)]
     row = benchmark_summary(jobs)[0]
-    assert row.solved_count == 0
-    assert row.avg_dev_from_best is None
-    assert "NA" in benchmark_csv([row])
+    assert (row.count, row.solved_count) == (3, 1)
+    assert benchmark_csv([row]) == "set,model,count,solved\ns,maxsum,3,1\n"
 
 
 def test_benchmark_summary_groups_sets():
     k = ObjectiveKind.MAXSUM
-    jobs = [_job("i1", k, SolveStatus.OPTIMAL, 1.0, set_name="b"),
-            _job("i2", k, SolveStatus.OPTIMAL, 2.0, set_name="a")]
+    jobs = [_job(k, SolveStatus.OPTIMAL, set_name="b"),
+            _job(k, SolveStatus.OPTIMAL, set_name="a")]
     rows = benchmark_summary(jobs)
     assert [r.set_name for r in rows] == ["a", "b"]
 

@@ -61,6 +61,23 @@ def test_solve_missing_m_is_usage_error(t4_file, capsys):
     assert code == 1
 
 
+def test_solve_maxmean_refuses_an_explicit_m(t4, tmp_path, capsys):
+    # maxmean chooses its own subset size, so --m 3 once printed a 4-node
+    # optimum and exited 0; a file header m stays ignored
+    import dataclasses
+    path = tmp_path / "withm.txt"
+    path.write_text(write_instance(dataclasses.replace(t4, default_m=3)),
+                    encoding="utf-8")
+    code = main(["solve", str(path), "--model", "maxmean", "--m", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    code, out = run(capsys, "solve", str(path), "--model", "maxmean")
+    assert code == 0
+    assert "subset 1,2,3,4" in out.splitlines()
+
+
 def test_solve_bilevel_output(t4_file, capsys):
     code, out = run(capsys, "solve", t4_file, "--model", "bilevel-maxsum",
                     "--m", "3")
@@ -371,8 +388,9 @@ def test_bench_outputs(tmp_path, capsys):
     assert results[0] == "set,instance,model,status,value"
     assert len(results) == 1 + 2 * 4
     summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == "set,model,count,solved,avg_dev_from_best"
-    assert all(line.endswith(",0") for line in summary[1:])  # all optimal
+    assert summary == ["set,model,count,solved"] + [
+        f"som_n7_m3,{model},2,2"  # all optimal
+        for model in ("maxmin", "maxminsum", "maxsum", "mindiff")]
 
 
 @pytest.mark.parametrize("models", ["", " , ", "maxsum,maxsum"])
@@ -422,8 +440,9 @@ def test_analyze_refuses_an_instance_with_no_positive_distance(
 
 
 def test_bench_budget_stopped_jobs_have_no_deviation(tmp_path, capsys):
-    # one job per (instance, model) and none proven optimal: no job has a
-    # reference but its own value, so the deviation is NA, not 0
+    # one job per (instance, model) and none proven optimal: the summary
+    # counts them and reports no deviation, for which no job has a
+    # reference value
     out = tmp_path / "bench"
     code, _ = run(capsys, "bench", "--family", "mdg", "--n", "30", "--m", "6",
                   "--count", "2", "--models", "maxsum,maxmin",
@@ -433,7 +452,22 @@ def test_bench_budget_stopped_jobs_have_no_deviation(tmp_path, capsys):
     assert len(results) == 4
     assert all(line.split(",")[3] == "feasible" for line in results)
     summary = (out / "summary.csv").read_text().splitlines()[1:]
-    assert summary == ["mdg_n30_m6,maxmin,2,0,NA", "mdg_n30_m6,maxsum,2,0,NA"]
+    assert summary == ["mdg_n30_m6,maxmin,2,0", "mdg_n30_m6,maxsum,2,0"]
+
+
+def test_bench_counts_the_solved_jobs_of_a_mixed_row(tmp_path, capsys):
+    # the budget proves one of four instances optimal and stops the other
+    # three; the row says so, where a deviation column once read 0
+    out = tmp_path / "bench"
+    code, _ = run(capsys, "bench", "--family", "mdg", "--n", "30", "--m", "6",
+                  "--count", "4", "--models", "maxsum", "--max-nodes", "2300",
+                  "--out", str(out))
+    assert code == 0
+    statuses = [line.split(",")[3] for line in
+                (out / "results.csv").read_text().splitlines()[1:]]
+    assert statuses == ["optimal", "feasible", "feasible", "feasible"]
+    assert (out / "summary.csv").read_text() == \
+        "set,model,count,solved\nmdg_n30_m6,maxsum,4,1\n"
 
 
 def test_only_bench_defaults_a_time_limit():

@@ -576,7 +576,8 @@ def test_brute_force_same_as_with_itertools_blocks(kind, monkeypatch):
 @pytest.mark.parametrize("kind", list(ObjectiveKind))
 @pytest.mark.parametrize("values", [[1.0, 2.0], [1.0]])
 def test_brute_force_ties_go_to_lex_smallest(kind, values):
-    # few distinct values over C(16, 5) = 4368 subsets, past one block
+    # few distinct values over C(16, 5) = 4368 subsets, past one block;
+    # MaxMean walks the sizes in turn, so its ties go to the smallest size
     inst = _tie_heavy(3, 16, values)
     m = None if kind is ObjectiveKind.MAXMEAN else 5
     sizes = range(1, 17) if m is None else [m]
@@ -587,7 +588,8 @@ def test_brute_force_ties_go_to_lex_smallest(kind, values):
     best = pick(v for v, _ in scored)
     res = brute_force(inst, m, kind)
     assert res.status is SolveStatus.OPTIMAL
-    assert tuple(res.solution) == min(c for v, c in scored if v == best)
+    assert tuple(res.solution) == min((c for v, c in scored if v == best),
+                                      key=lambda c: (len(c), c))
     assert res.stats.subsets_or_nodes_explored == len(scored)
 
 
@@ -685,14 +687,34 @@ def test_enumerate_optima_one_walk_same_as_two_walks(kind, values):
 
 
 def test_maxmean_optima_listed_by_size_then_lexicographically():
-    # enumerate_optima lists MaxMean optima size by size, so its first
-    # optimum here is not brute_force's, which takes the smaller tuple
+    # enumerate_optima lists MaxMean optima size by size, and brute_force
+    # keeps the first best subset of the same walk: the smaller optimum,
+    # though (0, 1, 2, 4, 5) is the smaller tuple
     inst = _tie_heavy(2, 6, [0.0, 1.0, 2.0])
     en = enumerate_optima(inst, None, ObjectiveKind.MAXMEAN)
     assert [tuple(s) for s in en] == [(0, 1, 4, 5), (0, 1, 2, 4, 5)]
     assert en.value == 2.0 and not en.truncated
     res = brute_force(inst, None, ObjectiveKind.MAXMEAN)
-    assert (tuple(res.solution), res.value) == ((0, 1, 2, 4, 5), 2.0)
+    assert (tuple(res.solution), res.value) == ((0, 1, 4, 5), 2.0)
+
+
+@pytest.mark.parametrize("kind", list(ObjectiveKind))
+def test_brute_force_returns_the_first_listed_optimum(kind):
+    # zero-heavy integer distances tie optima exactly, across sizes for
+    # MaxMean; C(11, 4) = 330 subsets, or 2^6 - 1 and 2^8 - 1 for MaxMean
+    cases = [(6, None), (8, None)] if kind is ObjectiveKind.MAXMEAN \
+        else [(11, 4)]
+    tied = 0
+    for seed in range(20):
+        for values in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 2.0]):
+            for n, m in cases:
+                inst = _tie_heavy(seed, n, values)
+                en = enumerate_optima(inst, m, kind)
+                res = brute_force(inst, m, kind)
+                assert (res.solution, res.value) == (en.solutions[0],
+                                                     en.value)
+                tied += len(en) > 1
+    assert tied >= 10
 
 
 def test_maxsum_bnb_t4(t4):
