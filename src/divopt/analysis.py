@@ -108,9 +108,14 @@ def pair_results(instance: Instance, primary_res: SolveResult,
 def compute_pairing(instance: Instance, m: int,
                     primary: ObjectiveKind, secondary: ObjectiveKind,
                     budget: Optional[SolverBudget] = None) -> PairedObjectives:
-    """Solve both models on one instance and package the paired numbers."""
-    return pair_results(instance, solve_model(instance, m, primary, budget),
-                        solve_model(instance, m, secondary, budget))
+    """Solve both models on one instance and package the paired numbers;
+    m is the subset size of every model but MaxMean, which chooses its
+    own."""
+    def solve(kind: ObjectiveKind) -> SolveResult:
+        size = None if kind is ObjectiveKind.MAXMEAN else m
+        return solve_model(instance, size, kind, budget)
+
+    return pair_results(instance, solve(primary), solve(secondary))
 
 
 class HistogramMode(Enum):

@@ -112,22 +112,24 @@ def _solve_named(inst: Instance, name: str, m: Optional[int],
                  mode: str = "enumerate", cap: int = DEFAULT_OPTIMA_CAP,
                  ) -> Union[SolveResult, BiLevelResult]:
     """Solve model ``name``: bi-level names with solve_bilevel, the rest
-    with solve_model.  Only MaxMean may leave the subset size m unset."""
+    with solve_model.  m is the --m flag; when it is unset the file
+    header's m stands in, except for MaxMean, which chooses its own subset
+    size and so gets no m (and refuses an explicit one)."""
     bilevel = name.startswith("bilevel-")
     kind = ObjectiveKind.from_string(name.split("-", 1)[1] if bilevel else name)
-    if m is None and (bilevel or kind is not ObjectiveKind.MAXMEAN):
-        raise ValueError("subset size m required (flag --m or file header)")
+    if m is None and kind is not ObjectiveKind.MAXMEAN:
+        m = inst.default_m
+        if m is None:
+            raise ValueError(
+                "subset size m required (flag --m or file header)")
     if bilevel:
         return solve_bilevel(inst, m, kind, cap=cap, budget=budget, mode=mode)
     return solve_model(inst, m, kind, budget, maxmin_method=method)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.m is not None and args.model == "maxmean":
-        raise ValueError("maxmean chooses its own subset size; drop --m")
     inst = _load_instance(args.instance)
-    m = args.m if args.m is not None else inst.default_m
-    res = _solve_named(inst, args.model, m, _budget_from(args),
+    res = _solve_named(inst, args.model, args.m, _budget_from(args),
                        method=args.method, mode=args.mode, cap=args.cap)
     print(f"model {args.model}")
     if isinstance(res, BiLevelResult):
@@ -293,15 +295,15 @@ def cmd_plot(args: argparse.Namespace) -> int:
     from .plots import histogram_svg, scatter_svg
     inst = _load_instance(args.instance)
     budget = _budget_from(args)
-    m = args.m if args.m is not None else inst.default_m
     models = _split_models(args.models, _MODEL_CHOICES) if args.models else []
     if args.style == "scatter":
-        text = scatter_svg(inst, [(name, _model_subset(inst, m, name, budget))
-                                  for name in models])
+        picks = [(name, _model_subset(inst, args.m, name, budget))
+                 for name in models]
+        text = scatter_svg(inst, picks)
     else:
         if len(models) != 1:
             raise ValueError("histogram style needs exactly one model")
-        subset = _model_subset(inst, m, models[0], budget)
+        subset = _model_subset(inst, args.m, models[0], budget)
         mode = HistogramMode.NORMALIZED10 if args.histmode == "normalized10" \
             else HistogramMode.INTEGER_BARS
         hist = histogram([(inst, subset)], mode)

@@ -14,9 +14,11 @@ MaxSum gets a native branch-and-bound with an admissible completion bound,
 and every model has a brute-force oracle.  The bi-level solver optimizes a
 secondary objective (MaxSum or MaxMinSum) over the set of MaxMin-optimal
 subsets, either by enumerating those optima up to a cap or by an exact
-search over independent sets at the MaxMin optimum.  MaxSum branch and
-bound, the exact bi-level search and MaxMin enumeration all run on one
-lexicographic subset walker, _walk_subsets, with a pluggable prune.
+search over independent sets at the MaxMin optimum.  The exact bi-level
+search and MaxMin enumeration run on one lexicographic subset walker,
+_walk_subsets, with a pluggable prune.  MaxSum branch and bound has no
+conflicts, so its candidates are always a suffix of the nodes, and it
+walks those suffixes directly (_maxsum_walk).
 Both MaxMin methods cache each optimum they prove on the instance; the
 bi-level solver and MaxMin enumeration read d* from there, while the
 MaxMin methods themselves always search.
@@ -219,7 +221,7 @@ def _lowest_bits(mask: int, k: int) -> int:
 
 class _Exhausted(Exception):
     """_Spend.tick stopped a search.  A search that keeps an incumbent
-    stores it in incumbent on the way out (_best_subset)."""
+    stores it in incumbent on the way out (_best_subset, _maxsum_walk)."""
 
     incumbent = None
 
@@ -829,11 +831,16 @@ def _scored_blocks(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                    spend: _Spend) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The brute-force walk over every m-subset (every non-empty subset for
     MaxMean): each block with its scores, each row charged to spend.nodes
-    as one node.  Raises _Exhausted before the first block when the walk's
-    subset count, C(n, m) or 2^n - 1, exceeds max_nodes, and past spend's
-    deadline before any block after the first."""
+    as one node.  MaxMean chooses its own subset size, so an m with it is
+    refused (ValueError) rather than ignored.  Raises _Exhausted before the
+    first block when the walk's subset count, C(n, m) or 2^n - 1, exceeds
+    max_nodes, and past spend's deadline before any block after the
+    first."""
     n = instance.n
     if kind is ObjectiveKind.MAXMEAN:
+        if m is not None:
+            raise ValueError(f"maxmean chooses its own subset size, so it "
+                             f"takes no m (got m={m})")
         sizes, total = list(range(1, n + 1)), 2 ** n - 1
     elif m is None:
         raise ValueError(f"{kind.value} requires a subset size m")
@@ -851,7 +858,8 @@ def _scored_blocks(instance: Instance, m: Optional[int], kind: ObjectiveKind,
 
 def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 budget: Optional[SolverBudget] = None) -> SolveResult:
-    """Exhaustive oracle: every m-subset (every subset for MaxMean).
+    """Exhaustive oracle: every m-subset (every subset for MaxMean, which
+    takes no m).
 
     _combination_blocks hands out the subsets in lexicographic order, in
     blocks of up to _BLOCK_ROWS, from an (n, k) table unranked once per
@@ -1022,6 +1030,8 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
                   prune: Optional[Callable[..., bool]] = None) -> None:
     """Walk the m-subsets independent in adj depth first, lexicographically.
 
+    The walk of MaxMin enumeration and exact bi-level; MaxSum B&B has no
+    conflicts, so it walks suffixes on its own (_maxsum_walk).
     leaf(chosen, cur) gets each full subset with its MaxSum value cur and
     stops the walk by returning False.  prune(cur, gains, remaining, need)
     may cut a partial one: remaining are its candidates, gains[i] is the
@@ -1035,10 +1045,10 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     needs at least 2 more picks when a greedy clique cover of its
     candidates (_clique_cover_size) has fewer cliques than that: no
     independent completion lies below it, and the leaves and their order
-    stay the same.  Walks with a prune (exact bi-level, MaxSum B&B) keep
-    their node counts for now; exact bi-level takes the skip once the
-    benchmark runner no longer keeps every pass's fingerprints, which
-    charges its faster passes to peak memory.
+    stay the same.  The walk with a prune, exact bi-level, keeps its node
+    counts for now; it takes the skip once the benchmark runner no longer
+    keeps every pass's fingerprints, which charges its faster passes to
+    peak memory.
     The gains and prune wait for the first child that keeps enough: a node
     with none is left before they are computed, and is still visited and
     ticked once.
@@ -1108,24 +1118,14 @@ def _half_tops(D: list[list[float]], remaining: tuple[int, ...],
 
 
 def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
-                          remaining: tuple[int, ...], need: int,
-                          rows: Optional[dict] = None) -> float:
+                          remaining: tuple[int, ...], need: int) -> float:
     """Most that need more picks from remaining can add to a MaxSum value
     (the bound solve_maxsum_bnb describes); gains[i] is remaining[i]'s
-    distance sum into the picks so far.  Given a dict rows, each row of
-    half-top terms is kept in rows[(remaining[0], need)]: right only for a
-    walk whose candidate sets are suffixes range(s, n), as in one without
-    conflicts, where that key fixes the row."""
+    distance sum into the picks so far."""
     if need == 1:
         scores = list(gains)
     else:
-        key = (remaining[0], need)
-        row = None if rows is None else rows.get(key)
-        if row is None:
-            row = _half_tops(D, remaining, need)
-            if rows is not None:
-                rows[key] = row
-        scores = list(map(add, gains, row))
+        scores = list(map(add, gains, _half_tops(D, remaining, need)))
     scores.sort(reverse=True)
     return sum(scores[:need])
 
@@ -1151,14 +1151,11 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
             best_val, best_combo = val, tuple(chosen)
         return True
 
-    # without conflicts every candidate set is a suffix
-    rows = None if any(adj) else {}
-
     def prune(cur: float, gains: list[float], remaining: tuple[int, ...],
               need: int) -> bool:
         if best_combo is None:
             return False  # no incumbent for a bound to cut against
-        bound = cur + _sum_completion_bound(D, gains, remaining, need, rows)
+        bound = cur + _sum_completion_bound(D, gains, remaining, need)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
@@ -1171,6 +1168,72 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
     return best_combo, leaves
 
 
+def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
+                 ) -> tuple[int, ...]:
+    """The lexicographically first best MaxSum m-subset, by depth-first
+    branch and bound over suffixes (solve_maxsum_bnb).
+
+    A node is (s, chosen, cur, gains): its candidates are range(s, n),
+    cur is the MaxSum value of chosen and gains[i] the distance sum from
+    s + i into chosen.  Its children pick v = s ... n - need in order; a
+    child's gains add D[v][u] to the parent's, which is the D[u][v] a sum
+    from scratch adds (Instance keeps distances exactly symmetric), so
+    each sum adds the picks in pick order from 0.0, bit for bit as
+    _best_subset's do.  Once there is an incumbent, a node is pruned on
+    entry when cur plus the completion bound cannot beat it: the need
+    largest of gains plus the (s, need) row of _half_tops, kept in a
+    per-solve table, or at need 1 the largest gain alone.  tick() runs
+    once at every node, leaves included, and stops the walk by raising
+    _Exhausted, which then carries the best subset so far (or None) as
+    its incumbent.
+    """
+    n = len(D)
+    tops: dict[tuple[int, int], list[float]] = {}  # (s, need) -> _half_tops
+    best_val = -inf
+    best_combo: Optional[tuple[int, ...]] = None
+    chosen: list[int] = []
+
+    def rec(s: int, cur: float, gains: list[float]) -> None:
+        nonlocal best_val, best_combo
+        tick()
+        need = m - len(chosen)
+        if best_combo is not None:
+            if need == 1:
+                bound = cur + max(gains)
+            else:
+                row = tops.get((s, need))
+                if row is None:
+                    row = tops[s, need] = _half_tops(D, tuple(range(s, n)),
+                                                     need)
+                scores = list(map(add, gains, row))
+                scores.sort(reverse=True)
+                bound = cur + sum(scores[:need])
+            if bound <= best_val:
+                return
+        if need == 1:
+            # the children are leaves: one node each
+            for v, gain in zip(range(s, n), gains):
+                tick()
+                if cur + gain > best_val:
+                    best_val, best_combo = cur + gain, (*chosen, v)
+            return
+        for i in range(n - s - need + 1):
+            v = s + i
+            chosen.append(v)
+            rec(v + 1, cur + gains[i], list(map(add, gains[i + 1:],
+                                                D[v][v + 1:])))
+            chosen.pop()
+
+    try:
+        rec(0, 0.0, [0.0] * n)
+    except _Exhausted as stop:
+        stop.incumbent = best_combo
+        raise
+    finally:
+        del rec  # rec reaches itself through its closure cell: break the cycle
+    return best_combo
+
+
 def solve_maxsum_bnb(instance: Instance, m: int,
                      budget: Optional[SolverBudget] = None) -> SolveResult:
     """Exact MaxSum by depth-first branch and bound in index order.
@@ -1178,18 +1241,17 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     At a partial selection the bound adds, for each of the m-k best
     remaining candidates, its distance sum into the selection plus half its
     m-k-1 largest distances to other remaining candidates; no completion
-    can exceed that.  With no conflicts the candidates are always a suffix
-    range(s, n), so the half-distance terms depend only on (s, m-k): each
-    such row is computed once per solve and kept in a table of at most
-    n * m rows of at most n floats, and a node only adds its gains to a
-    row and sums the m-k largest.
+    can exceed that.  MaxSum has no conflicts, so the candidates are always
+    a suffix range(s, n) and the search walks suffixes directly
+    (_maxsum_walk) rather than through the subset walker: each node's
+    distance sums come from its parent's by one row, and the half-distance
+    terms depend only on (s, m-k), so each such row is computed once per
+    solve and kept in a table of at most n * m rows of at most n floats.
     """
     _validate_m(instance, m)
     spend = _Spend(budget)
     try:
-        best_combo, _ = _best_subset(instance.distances.tolist(),
-                                     (0,) * instance.n, m,
-                                     ObjectiveKind.MAXSUM, spend.tick)
+        best_combo = _maxsum_walk(instance.distances.tolist(), m, spend.tick)
         status = SolveStatus.OPTIMAL
     except _Exhausted as stop:
         best_combo = stop.incumbent
@@ -1253,7 +1315,8 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
 def solve_model(instance: Instance, m: Optional[int], kind: ObjectiveKind,
                 budget: Optional[SolverBudget] = None,
                 maxmin_method: str = "improved") -> SolveResult:
-    """Front door used by the CLI: route each model to its exact solver."""
+    """Front door used by the CLI: route each model to its exact solver.
+    m is the subset size; MaxMean chooses its own and refuses one."""
     if kind is ObjectiveKind.MAXSUM:
         return solve_maxsum_bnb(instance, m, budget)
     if kind is ObjectiveKind.MAXMIN:

@@ -69,6 +69,9 @@ def test_pair_results_scores_under_the_primary_kind(t4):
     p = pair_results(t4, mindiff, maxmean)
     assert (p.primary_optimum, p.secondary_optimum) == (2.0, 5.25)
     assert p.primary_at_secondary == 8.0
+    # compute_pairing's m sizes MinDiff only; MaxMean chooses its own
+    assert compute_pairing(t4, 3, ObjectiveKind.MINDIFF,
+                           ObjectiveKind.MAXMEAN) == p
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ def test_solve_missing_m_is_usage_error(t4_file, capsys):
 
 def test_solve_maxmean_refuses_an_explicit_m(t4, tmp_path, capsys):
     # maxmean chooses its own subset size, so --m 3 once printed a 4-node
-    # optimum and exited 0; a file header m stays ignored
+    # optimum and exited 0; the solver refuses it, while a file header m
+    # stays ignored
     import dataclasses
     path = tmp_path / "withm.txt"
     path.write_text(write_instance(dataclasses.replace(t4, default_m=3)),
@@ -364,6 +365,28 @@ def test_plot_maxmean_needs_no_m(t4, t4_file, tmp_path, capsys):
     hist = histogram([(t4, chosen)], HistogramMode.NORMALIZED10)
     assert fig.read_text(encoding="utf-8") == \
         histogram_svg(hist, title="t4 maxmean")
+
+
+@pytest.mark.parametrize("style", ["scatter", "histogram"])
+def test_plot_maxmean_refuses_an_explicit_m(unit_square, tmp_path, capsys,
+                                            style):
+    # --m 3 once drew the 4-node maxmean optimum and exited 0; a file
+    # header m stays ignored
+    import dataclasses
+    path = tmp_path / "withm.txt"
+    path.write_text(write_instance(dataclasses.replace(unit_square,
+                                                       default_m=3)),
+                    encoding="utf-8")
+    fig = tmp_path / "mm.svg"
+    argv = ["plot", str(path), "--style", style, "--models", "maxmean",
+            "--out", str(fig)]
+    code = main(argv + ["--m", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "maxmean chooses its own subset size" in captured.err
+    assert not fig.exists()
+    code, _ = run(capsys, *argv)
+    assert code == 0 and fig.exists()
 
 
 @pytest.mark.parametrize("style", ["scatter", "histogram"])

@@ -283,6 +283,18 @@ def test_brute_force_maxmean_free_size(t4):
     assert tuple(res.solution) == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda inst: solve_model(inst, 3, ObjectiveKind.MAXMEAN),
+    lambda inst: brute_force(inst, 3, ObjectiveKind.MAXMEAN),
+    lambda inst: enumerate_optima(inst, 3, ObjectiveKind.MAXMEAN)],
+    ids=["solve_model", "brute_force", "enumerate_optima"])
+def test_maxmean_refuses_a_subset_size(t4, call):
+    # MaxMean chooses its own size: an m was once ignored, and a 4-node
+    # optimum came back for m = 3
+    with pytest.raises(ValueError, match="maxmean chooses its own subset"):
+        call(t4)
+
+
 def test_brute_force_subset_budget(t4):
     res = brute_force(t4, 3, ObjectiveKind.MAXSUM,
                       SolverBudget(max_nodes=2))
@@ -823,9 +835,10 @@ def test_bilevel_rejects_bad_upper(t4):
 
 
 def test_recursive_searches_leave_no_garbage_cycles():
-    # _walk_subsets' rec and _max_independent's bb reach themselves through
-    # their closure cells; each call must break that cycle, or the walker's
-    # distance rows stay alive until the next full collection
+    # the rec of _walk_subsets and _maxsum_walk and _max_independent's bb
+    # reach themselves through their closure cells; each call must break
+    # that cycle, or the walk's distance rows stay alive until the next
+    # full collection
     small = generate(GeneratorSpec(family=Family.MDG, n=25, m=5, seed=1))
     planar = generate(GeneratorSpec(family=Family.GKD_D, n=40, m=6, seed=0))
     values = spectrum_stats(small).distinct_values
@@ -911,10 +924,34 @@ def test_sum_completion_bound_bit_identical(values):
     assert checked > 600
 
 
+def _bnb_against_subset_walker(inst, m, max_nodes):
+    # solve_maxsum_bnb's (status, value hex, subset, nodes) and those of
+    # _best_subset walking the same instance with no conflicts, each
+    # subset scored with its from-scratch gains and bound
+    res = solve_maxsum_bnb(inst, m, SolverBudget(max_nodes=max_nodes))
+    got = (res.status, None if res.value is None else res.value.hex(),
+           None if res.solution is None else tuple(res.solution),
+           res.stats.subsets_or_nodes_explored)
+    answer, nodes, stopped = _ticked(lambda tick: solvers._best_subset(
+        inst.distances.tolist(), (0,) * inst.n, m, ObjectiveKind.MAXSUM,
+        tick), max_nodes)
+    combo = answer if stopped else answer[0]
+    status = (SolveStatus.OPTIMAL if not stopped
+              else SolveStatus.FEASIBLE if combo is not None
+              else SolveStatus.BUDGET_EXCEEDED)
+    value = None if combo is None else eval_maxsum(inst, Solution(combo))
+    want = (status, None if combo is None else value.hex(), combo, nodes)
+    return got, want
+
+
+_BNB_BUDGETS = (None, 1, 7, 50, 300)
+
+
 @pytest.mark.parametrize("values", TIE_VALUES)
 def test_suffix_bound_table_bit_identical(monkeypatch, values):
-    # the bound MaxSum B&B prunes with, its terms kept per (s, need); the
-    # second round reads every row from the table
+    # the bound MaxSum B&B prunes with, its terms kept per (s, need), cuts
+    # exactly where the from-scratch bound does: on tie-heavy distances a
+    # bound one ulp off would prune another node; each row is computed once
     computed = []
     half_tops = solvers._half_tops
 
@@ -922,35 +959,42 @@ def test_suffix_bound_table_bit_identical(monkeypatch, values):
         computed.append((remaining, need))
         return half_tops(D, remaining, need)
 
-    monkeypatch.setattr(solvers, "_half_tops", counted)
-    rng = np.random.default_rng(6)
-    checked = 0
-    for seed in range(8):
-        n = int(rng.integers(2, 16))
-        D = _tie_heavy(seed, n, values).distances.tolist()
-        rows = {}
+    rows = 0
+    for seed, (n, m) in enumerate([(8, 2), (10, 3), (12, 4), (14, 5),
+                                   (16, 6), (18, 8)]):
+        inst = _tie_heavy(seed, n, values)
+        for max_nodes in _BNB_BUDGETS:
+            got, want = _bnb_against_subset_walker(inst, m, max_nodes)
+            assert got == want, (seed, n, m, max_nodes)
         computed.clear()
-        for _ in range(2):
-            for s in range(n):
-                remaining = tuple(range(s, n))
-                # picks from the prefix, in pick order
-                chosen = [int(v) for v in
-                          rng.permutation(s)[:int(rng.integers(0, s + 1))]]
-                gains = []
-                for v in remaining:
-                    gain = 0.0
-                    for c in chosen:
-                        gain += D[v][c]
-                    gains.append(gain)
-                for need in range(1, n - s + 1):
-                    got = _sum_completion_bound(D, gains, remaining, need,
-                                                rows)
-                    want = _generator_sort_bound(D, chosen, remaining, need)
-                    assert got.hex() == want.hex(), (seed, chosen, s, need)
-                    checked += 1
-        # each (s, need) row was computed once, in the first round
-        assert len(computed) == len(set(computed)) == len(rows)
-    assert checked > 300
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_half_tops", counted)
+            solve_maxsum_bnb(inst, m)
+        assert len(computed) == len(set(computed)) <= n * m
+        assert all(rem == tuple(range(rem[0], n)) for rem, _ in computed)
+        rows += len(computed)
+    assert rows > 0
+
+
+# (family, n, m) of MaxSum B&B's reference corpus, each drawn at one seed
+BNB_REFERENCE_SIZES = [(12, 2), (16, 8), (20, 6), (25, 5), (30, 3), (40, 4)]
+BNB_REFERENCE_CORPUS = (
+    [(family, n, m, seed)
+     for family in ("mdg", "som", "gkd", "gkd-d")
+     for seed, (n, m) in enumerate(BNB_REFERENCE_SIZES)]
+    + [("som", 35, 7, 1), ("gkd", 35, 7, 2), ("gkd", 40, 8, 0)])
+
+
+@pytest.mark.parametrize("spec", BNB_REFERENCE_CORPUS,
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_maxsum_bnb_same_as_subset_walker(spec):
+    # the suffix walk visits the nodes the subset walker visits on a graph
+    # with no conflicts, scores them bit for bit alike and stops where it
+    # stops
+    inst = _generate(spec)
+    for max_nodes in _BNB_BUDGETS:
+        got, want = _bnb_against_subset_walker(inst, spec[2], max_nodes)
+        assert got == want, max_nodes
 
 
 @pytest.mark.parametrize("family,n,m,seed", [
@@ -1248,7 +1292,7 @@ _STOP_RULE_CASES = {
     # feasible once it has an incumbent
     "solve_maxsum_bnb": (lambda budget: solve_maxsum_bnb(
         _generate(("mdg", 30, 6, 0)), 6, budget),
-        "_best_subset", (SolveStatus.BUDGET_EXCEEDED, SolveStatus.FEASIBLE)),
+        "_maxsum_walk", (SolveStatus.BUDGET_EXCEEDED, SolveStatus.FEASIBLE)),
     "solve_bilevel": (_cached_exact_bilevel, "_best_subset", None),
 }
 
