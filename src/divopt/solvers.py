@@ -52,11 +52,9 @@ DEFAULT_OPTIMA_CAP = 100_000
 # Combinations the brute-force walk scores per numpy block.
 _BLOCK_ROWS = 4096
 
-# The brute-force walk unranks the lexicographic table of an (n, k) with at
-# most _TABLE_MAX_ROWS rows once and keeps it (_combination_table), holding
-# at most _TABLE_CACHE_ENTRIES tables and _TABLE_CACHE_BYTES bytes; larger
-# tables stream block by block.
-_TABLE_MAX_ROWS = 2 ** 17
+# The brute-force walk keeps each (n, k) combination table that fits in
+# _TABLE_CACHE_BYTES (_combination_table) and streams larger ones; the cache
+# holds at most _TABLE_CACHE_ENTRIES tables and _TABLE_CACHE_BYTES bytes.
 _TABLE_CACHE_ENTRIES = 32
 _TABLE_CACHE_BYTES = 2 ** 21
 
@@ -741,7 +739,8 @@ def _unrank_blocks(n: int, k: int) -> Iterator[np.ndarray]:
 
 class _TableCache:
     """(n, k) -> the read-only table of combinations(range(n), k), rows in
-    lexicographic order, in the smallest unsigned dtype that holds n - 1.
+    lexicographic order, in the smallest unsigned dtype that holds n - 1;
+    None, with nothing built, when it would take over _TABLE_CACHE_BYTES.
 
     Each table is unranked once and kept until it is the least recently
     used one and the cache holds more than _TABLE_CACHE_ENTRIES tables or
@@ -754,15 +753,18 @@ class _TableCache:
         self._lock = threading.Lock()
         self.nbytes = 0
 
-    def __call__(self, n: int, k: int) -> np.ndarray:
+    def __call__(self, n: int, k: int) -> Optional[np.ndarray]:
         key = (n, k)
         with self._lock:
             table = self._tables.get(key)
             if table is not None:
                 self._tables.move_to_end(key)
                 return table
+        rows, dtype = comb(n, k), np.min_scalar_type(n - 1)
+        if rows * k * dtype.itemsize > _TABLE_CACHE_BYTES:
+            return None
         # filled block by block, so that no full-size intp copy is made
-        table = np.empty((comb(n, k), k), dtype=np.min_scalar_type(n - 1))
+        table = np.empty((rows, k), dtype=dtype)
         for start, block in zip(range(0, len(table), _BLOCK_ROWS),
                                 _unrank_blocks(n, k)):
             table[start:start + _BLOCK_ROWS] = block
@@ -789,18 +791,17 @@ def _combination_blocks(n: int, sizes: list[int]) -> Iterator[np.ndarray]:
     """combinations(range(n), size) for each size in turn, in lexicographic
     order, as (rows, size) intp index arrays of at most _BLOCK_ROWS rows.
 
-    A size with at most _TABLE_MAX_ROWS combinations is sliced from its
-    (n, size) table, which is unranked once per process and reused
+    A size whose (n, size) table fits in _TABLE_CACHE_BYTES is sliced from
+    that table, which is unranked once per process and reused
     (_combination_table); a larger one is unranked block by block
     (_unrank_blocks).  Both give the same blocks.
     """
     for k in sizes:
-        total = comb(n, k)
-        if total > _TABLE_MAX_ROWS:
+        table = _combination_table(n, k)
+        if table is None:
             yield from _unrank_blocks(n, k)
             continue
-        table = _combination_table(n, k)
-        for start in range(0, total, _BLOCK_ROWS):
+        for start in range(0, len(table), _BLOCK_ROWS):
             yield table[start:start + _BLOCK_ROWS].astype(np.intp)
 
 
@@ -863,9 +864,9 @@ def brute_force(instance: Instance, m: Optional[int], kind: ObjectiveKind,
 
     _combination_blocks hands out the subsets in lexicographic order, in
     blocks of up to _BLOCK_ROWS, from an (n, k) table unranked once per
-    process when C(n, k) <= _TABLE_MAX_ROWS (2^17) and unranked block by
-    block past that.  _score_block scores each block; its values equal the
-    per-subset reference _score_plain bit for bit.  Each scored subset is
+    process when it fits in _TABLE_CACHE_BYTES (2 MiB) and unranked block
+    by block past that.  _score_block scores each block; its values equal
+    the per-subset reference _score_plain bit for bit.  Each scored subset is
     one node: a walk of more subsets, C(n, m) or 2^n - 1 for MaxMean, than
     max_nodes is refused before its first block (status BudgetExceeded,
     no subset).  The time limit is checked before each block after the
@@ -1117,15 +1118,15 @@ def _half_tops(D: list[list[float]], remaining: tuple[int, ...],
     return row
 
 
-def _sum_completion_bound(D: list[list[float]], gains: Sequence[float],
-                          remaining: tuple[int, ...], need: int) -> float:
-    """Most that need more picks from remaining can add to a MaxSum value
-    (the bound solve_maxsum_bnb describes); gains[i] is remaining[i]'s
-    distance sum into the picks so far."""
+def _completion_bound(gains: Sequence[float],
+                      tops: Optional[Sequence[float]], need: int) -> float:
+    """Most that need more picks can add to a MaxSum value (the bound
+    solve_maxsum_bnb describes): the need largest gains[i] + tops[i], where
+    gains[i] is candidate i's distance sum into the picks so far and tops
+    the candidates' _half_tops row, or at need 1 the largest gain alone."""
     if need == 1:
-        scores = list(gains)
-    else:
-        scores = list(map(add, gains, _half_tops(D, remaining, need)))
+        return max(gains)
+    scores = list(map(add, gains, tops))
     scores.sort(reverse=True)
     return sum(scores[:need])
 
@@ -1155,7 +1156,8 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
               need: int) -> bool:
         if best_combo is None:
             return False  # no incumbent for a bound to cut against
-        bound = cur + _sum_completion_bound(D, gains, remaining, need)
+        tops = _half_tops(D, remaining, need) if need > 1 else None
+        bound = cur + _completion_bound(gains, tops, need)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
@@ -1180,12 +1182,11 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
     from scratch adds (Instance keeps distances exactly symmetric), so
     each sum adds the picks in pick order from 0.0, bit for bit as
     _best_subset's do.  Once there is an incumbent, a node is pruned on
-    entry when cur plus the completion bound cannot beat it: the need
-    largest of gains plus the (s, need) row of _half_tops, kept in a
-    per-solve table, or at need 1 the largest gain alone.  tick() runs
-    once at every node, leaves included, and stops the walk by raising
-    _Exhausted, which then carries the best subset so far (or None) as
-    its incumbent.
+    entry when cur plus _completion_bound, exact bi-level's bound too,
+    cannot beat it; the (s, need) rows of _half_tops it takes are kept in
+    a per-solve table.  tick() runs once at every node, leaves included,
+    and stops the walk by raising _Exhausted, which then carries the best
+    subset so far (or None) as its incumbent.
     """
     n = len(D)
     tops: dict[tuple[int, int], list[float]] = {}  # (s, need) -> _half_tops
@@ -1198,17 +1199,10 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
         tick()
         need = m - len(chosen)
         if best_combo is not None:
-            if need == 1:
-                bound = cur + max(gains)
-            else:
-                row = tops.get((s, need))
-                if row is None:
-                    row = tops[s, need] = _half_tops(D, tuple(range(s, n)),
-                                                     need)
-                scores = list(map(add, gains, row))
-                scores.sort(reverse=True)
-                bound = cur + sum(scores[:need])
-            if bound <= best_val:
+            row = tops.get((s, need))
+            if row is None and need > 1:
+                row = tops[s, need] = _half_tops(D, tuple(range(s, n)), need)
+            if cur + _completion_bound(gains, row, need) <= best_val:
                 return
         if need == 1:
             # the children are leaves: one node each
@@ -1238,10 +1232,11 @@ def solve_maxsum_bnb(instance: Instance, m: int,
                      budget: Optional[SolverBudget] = None) -> SolveResult:
     """Exact MaxSum by depth-first branch and bound in index order.
 
-    At a partial selection the bound adds, for each of the m-k best
-    remaining candidates, its distance sum into the selection plus half its
-    m-k-1 largest distances to other remaining candidates; no completion
-    can exceed that.  MaxSum has no conflicts, so the candidates are always
+    At a partial selection the bound (_completion_bound, which exact
+    bi-level prunes with too) adds, for each of the m-k best remaining
+    candidates, its distance sum into the selection plus half its m-k-1
+    largest distances to other remaining candidates; no completion can
+    exceed that.  MaxSum has no conflicts, so the candidates are always
     a suffix range(s, n) and the search walks suffixes directly
     (_maxsum_walk) rather than through the subset walker: each node's
     distance sums come from its parent's by one row, and the half-distance

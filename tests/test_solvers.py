@@ -24,11 +24,11 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
                     solve_maxsum_bnb, solve_model, spectrum_stats)
 from divopt import solvers
 from divopt.instances import truncate
-from divopt.solvers import (_BLOCK_ROWS, _TABLE_MAX_ROWS, _bits_to_nodes,
+from divopt.solvers import (_BLOCK_ROWS, _TABLE_CACHE_BYTES, _bits_to_nodes,
                             _clique_cover_size, _combination_blocks,
-                            _combination_table, _max_degree, _reduce_forced,
-                            _score_block, _score_plain,
-                            _sum_completion_bound)
+                            _combination_table, _completion_bound,
+                            _half_tops, _max_degree, _reduce_forced,
+                            _score_block, _score_plain)
 
 
 def _edges(graph):
@@ -433,22 +433,28 @@ def _assert_same_blocks_twice(n, k):
             assert np.array_equal(block, want_block), (n, k)
 
 
-def test_combination_blocks_at_the_table_row_cap(monkeypatch):
-    # C(n, 1) = n: n = cap is unranked once and kept, n = cap + 1 is
-    # unranked on each walk
+def test_combination_blocks_at_the_table_byte_limit(monkeypatch):
+    # C(n, 1) = n rows of uint32 past n = 2^16: n = 2^19 fills the byte
+    # limit exactly and is kept, one more row is not built at all
     _combination_table.cache_clear()
     calls = _spy_unrank(monkeypatch)
-    _assert_same_blocks_twice(_TABLE_MAX_ROWS, 1)
-    _assert_same_blocks_twice(_TABLE_MAX_ROWS + 1, 1)
-    assert calls == [(_TABLE_MAX_ROWS, 1)] + [(_TABLE_MAX_ROWS + 1, 1)] * 2
-    # several columns, with the cap moved onto C(20, 6) = 38760
+    assert _TABLE_CACHE_BYTES == 2 ** 19 * 4
+    assert _combination_table(2 ** 19, 1).nbytes == _TABLE_CACHE_BYTES
+    assert _combination_table(2 ** 19 + 1, 1) is None
+    assert calls == [(2 ** 19, 1)]
+    # several columns, with the limit moved onto C(20, 6) = 38760 rows of
+    # 6 bytes: a table at the limit is unranked once and kept, one a byte
+    # over it is unranked on each walk
     _combination_table.cache_clear()
     calls.clear()
-    rows = math.comb(20, 6)
-    monkeypatch.setattr(solvers, "_TABLE_MAX_ROWS", rows)
+    nbytes = math.comb(20, 6) * 6
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_BYTES", nbytes)
     _assert_same_blocks_twice(20, 6)
-    monkeypatch.setattr(solvers, "_TABLE_MAX_ROWS", rows - 1)
+    assert _combination_table.nbytes == nbytes
+    _combination_table.cache_clear()
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_BYTES", nbytes - 1)
     _assert_same_blocks_twice(20, 6)
+    assert _combination_table.nbytes == 0
     assert calls == [(20, 6)] * 3
     _combination_table.cache_clear()
 
@@ -492,13 +498,31 @@ def test_combination_table_cache_is_bounded(monkeypatch):
     assert [k for _, k in calls] == [2, 3, 4, 3]
     _combination_table.cache_clear()
     calls.clear()
-    # C(12, 4) = 495 rows of 4 bytes: a byte bound of 2000 holds one
+    # C(12, 4) = 495 rows of 4 bytes: a byte bound of 2000 holds one, and
+    # C(12, 8) = 495 rows of 8 bytes is never built
     monkeypatch.setattr(solvers, "_TABLE_CACHE_ENTRIES", 32)
     monkeypatch.setattr(solvers, "_TABLE_CACHE_BYTES", 2000)
     for k in (4, 4, 8, 4):
         _combination_table(12, k)
-    assert [k for _, k in calls] == [4, 8, 4]
+    assert _combination_table(12, 8) is None
+    assert [k for _, k in calls] == [4]
     assert _combination_table.nbytes == 4 * 495
+    _combination_table.cache_clear()
+
+
+def test_a_table_over_the_byte_limit_evicts_nothing(monkeypatch):
+    # a table too large to keep once was built, pushed the cache over its
+    # byte bound and so evicted every table, itself included: the next
+    # (12, 4) walk unranked again
+    _combination_table.cache_clear()
+    calls = _spy_unrank(monkeypatch)
+    monkeypatch.setattr(solvers, "_TABLE_CACHE_BYTES", 2000)
+    for k in (4, 8, 4):
+        got = list(_combination_blocks(12, [k]))
+        want = list(_itertools_blocks(12, [k]))
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+    assert calls == [(12, 4), (12, 8)]
+    assert list(_combination_table._tables) == [(12, 4)]
     _combination_table.cache_clear()
 
 
@@ -917,11 +941,56 @@ def test_sum_completion_bound_bit_identical(values):
                     for s in chosen:
                         gain += D[v][s]
                     gains.append(gain)
-                got = _sum_completion_bound(D, gains, remaining, need)
+                tops = _half_tops(D, remaining, need) if need > 1 else None
+                got = _completion_bound(gains, tops, need)
                 want = _generator_sort_bound(D, chosen, remaining, need)
                 assert got.hex() == want.hex(), (seed, chosen, remaining, need)
                 checked += 1
     assert checked > 600
+
+
+def _walked_value(D, chosen, combo):
+    # the MaxSum value a walk reaches by picking combo after chosen: each
+    # pick adds its distance sum into the picks before it, in pick order
+    value, picked = 0.0, []
+    for v in (*chosen, *combo):
+        gain = 0.0
+        for s in picked:
+            gain += D[v][s]
+        value += gain
+        picked.append(v)
+    return value
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 10),
+       family=st.sampled_from(["gkd-d", "gkd", "mdg", "som"]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_completion_bound_is_admissible(seed, n, family, data):
+    # no completion from the candidates beats cur + the bound, so both
+    # walks that prune on it (MaxSum B&B, exact bi-level) stay exact; a
+    # tight bound (say every candidate needed) is exact in real numbers
+    # but may round a few ulps below the walked value
+    D = _generate((family, n, 2, seed)).distances.tolist()
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(0, n - 1))
+    chosen = order[:k]
+    remaining = tuple(sorted(data.draw(st.lists(
+        st.sampled_from(order[k:]), min_size=1, unique=True))))
+    cur = _walked_value(D, chosen, ())
+    gains = []
+    for v in remaining:
+        gain = 0.0
+        for s in chosen:
+            gain += D[v][s]
+        gains.append(gain)
+    for need in range(1, len(remaining) + 1):
+        tops = _half_tops(D, remaining, need) if need > 1 else None
+        bound = cur + _completion_bound(gains, tops, need)
+        best = max(_walked_value(D, chosen, combo)
+                   for combo in itertools.combinations(remaining, need))
+        assert bound >= best or math.isclose(bound, best, rel_tol=1e-13), (
+            chosen, remaining, need)
 
 
 def _bnb_against_subset_walker(inst, m, max_nodes):
@@ -1421,7 +1490,8 @@ def _reference_best_subset(D, adj, m, upper_kind, tick):
         return True
 
     def prune(cur, gains, remaining, need):
-        bound = cur + _sum_completion_bound(D, gains, remaining, need)
+        tops = _half_tops(D, remaining, need) if need > 1 else None
+        bound = cur + _completion_bound(gains, tops, need)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
