@@ -143,6 +143,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"truncated {'true' if res.truncated else 'false'}")
         print(f"value {_value_str(res.upper_value)}")
         print(f"subset {_subset_str(res.chosen)}")
+        # the d* solve's nodes, unless d* was cached, and the walk's
+        print(f"explored {res.stats.subsets_or_nodes_explored}")
     else:
         status = res.status
         print(f"status {status.value}")

@@ -18,7 +18,9 @@ search over independent sets at the MaxMin optimum.  The exact bi-level
 search and MaxMin enumeration run on one lexicographic subset walker,
 _walk_subsets, with a pluggable prune.  MaxSum branch and bound has no
 conflicts, so its candidates are always a suffix of the nodes, and it
-walks those suffixes directly (_maxsum_walk).
+walks those suffixes directly (_maxsum_walk).  Both MaxSum-bounded walks,
+exact bi-level and MaxSum B&B, keep the rows of their completion bound in
+a per-solve table, so each row is filled once per solve.
 Both MaxMin methods cache each optimum they prove on the instance; the
 bi-level solver and MaxMin enumeration read d* from there, while the
 MaxMin methods themselves always search.
@@ -33,9 +35,10 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import ceil, comb, inf, isnan, log2
 from operator import add, itemgetter
@@ -150,6 +153,8 @@ class OptimaEnumeration:
     solutions: tuple[Solution, ...]
     truncated: bool
     value: float
+    # the search effort, which equality ignores (it holds the wall time)
+    stats: SearchStats = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -172,6 +177,9 @@ class BiLevelResult:
     upper_kind: ObjectiveKind
     chosen: Solution
     upper_value: float
+    # the whole call's search effort: the d* solve, when it was not cached,
+    # and the walk; equality ignores it (it holds the wall time)
+    stats: SearchStats = field(compare=False)
 
 
 def _validate_m(instance: Instance, m: int) -> None:
@@ -705,7 +713,8 @@ def enumerate_maxmin_optima(instance: Instance, m: int,
         raise BudgetExceededError(f"optima enumeration exceeded budget after "
                                   f"{spend.nodes - before} nodes") from None
     return OptimaEnumeration(solutions=tuple(found[:cap]),
-                             truncated=len(found) > cap, value=z_star)
+                             truncated=len(found) > cap, value=z_star,
+                             stats=spend.stats())
 
 
 def _unrank_blocks(n: int, k: int) -> Iterator[np.ndarray]:
@@ -1022,7 +1031,8 @@ def enumerate_optima(instance: Instance, m: Optional[int], kind: ObjectiveKind,
     found = [Solution(nodes) for _, score, nodes in kept
              if abs(score - opt) <= tol]
     return OptimaEnumeration(solutions=tuple(found[:cap]),
-                             truncated=len(found) > cap, value=opt)
+                             truncated=len(found) > cap, value=opt,
+                             stats=spend.stats())
 
 
 def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
@@ -1103,19 +1113,22 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
         del rec  # rec reaches itself through its closure cell: break the cycle
 
 
-def _half_tops(D: list[list[float]], remaining: tuple[int, ...],
-               need: int) -> list[float]:
-    """Half the sum of each remaining[i]'s need - 1 largest distances to the
-    other candidates (need >= 2): the part of the MaxSum completion bound
-    that does not depend on the picks so far."""
+def _half_tops(D: list[list[float]], remaining: Sequence[int],
+               needs: Sequence[int]) -> list[array]:
+    """One row per need in needs (each >= 2): half the sum of each
+    remaining[i]'s need - 1 largest distances to the other candidates, the
+    part of the MaxSum completion bound that does not depend on the picks
+    so far.  One descending sort per candidate serves every need, and each
+    entry is the sum a row for that need alone would take, bit for bit."""
     gather = itemgetter(*remaining)
-    row = []
+    tops = []
     for i, v in enumerate(remaining):
         others = list(gather(D[v]))
         del others[i]  # v itself
         others.sort(reverse=True)
-        row.append(0.5 * sum(others[:need - 1]))
-    return row
+        tops.append(others)
+    return [array("d", [0.5 * sum(others[:need - 1]) for others in tops])
+            for need in needs]
 
 
 def _completion_bound(gains: Sequence[float],
@@ -1136,10 +1149,15 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
                  ) -> tuple[Optional[tuple[int, ...]], int]:
     """Lexicographically first best MaxSum or MaxMinSum m-subset independent
     in adj, pruned by the MaxSum completion bound or, for MaxMinSum, twice
-    it over m (min <= mean of the contributions).  Returns (subset or None,
-    leaves scored); when tick stops the walk, the _Exhausted it raises
-    carries the best subset so far (or None) as its incumbent."""
+    it over m (min <= mean of the contributions).  The bound's _half_tops
+    row depends only on the candidates and need, so each (candidates,
+    need) row is filled once per solve and kept in a table that both
+    upper objectives read.  Returns (subset or None, leaves scored); when
+    tick stops the walk, the _Exhausted it raises carries the best subset
+    so far (or None) as its incumbent."""
     maxsum = upper_kind is ObjectiveKind.MAXSUM
+    # tops[need][remaining]: the _half_tops row of those candidates
+    tops: list[dict[tuple[int, ...], array]] = [{} for _ in range(m + 1)]
     best_val = -inf
     best_combo: Optional[tuple[int, ...]] = None
     leaves = 0
@@ -1156,8 +1174,13 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
               need: int) -> bool:
         if best_combo is None:
             return False  # no incumbent for a bound to cut against
-        tops = _half_tops(D, remaining, need) if need > 1 else None
-        bound = cur + _completion_bound(gains, tops, need)
+        row = None
+        if need > 1:
+            row = tops[need].get(remaining)
+            if row is None:
+                row = tops[need][remaining] = _half_tops(D, remaining,
+                                                         (need,))[0]
+        bound = cur + _completion_bound(gains, row, need)
         if not maxsum:
             bound = 2.0 * bound / m
         return bound <= best_val
@@ -1183,13 +1206,15 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
     each sum adds the picks in pick order from 0.0, bit for bit as
     _best_subset's do.  Once there is an incumbent, a node is pruned on
     entry when cur plus _completion_bound, exact bi-level's bound too,
-    cannot beat it; the (s, need) rows of _half_tops it takes are kept in
-    a per-solve table.  tick() runs once at every node, leaves included,
-    and stops the walk by raising _Exhausted, which then carries the best
-    subset so far (or None) as its incumbent.
+    cannot beat it.  Its _half_tops rows are kept per solve: the first
+    node at s that asks fills the rows of every need a node at s can have,
+    from one sort per candidate, and later nodes read them.  tick() runs
+    once at every node, leaves included, and stops the walk by raising
+    _Exhausted, which then carries the best subset so far (or None) as
+    its incumbent.
     """
     n = len(D)
-    tops: dict[tuple[int, int], list[float]] = {}  # (s, need) -> _half_tops
+    tops: dict[tuple[int, int], array] = {}  # (s, need) -> _half_tops row
     best_val = -inf
     best_combo: Optional[tuple[int, ...]] = None
     chosen: list[int] = []
@@ -1201,7 +1226,13 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
         if best_combo is not None:
             row = tops.get((s, need))
             if row is None and need > 1:
-                row = tops[s, need] = _half_tops(D, tuple(range(s, n)), need)
+                # every need a node at s can have: m at the root, else
+                # 1 to s picks made and at least need candidates left
+                needs = range(max(2, m - s), min(m - 1, n - s) + 1) if s \
+                    else (m,)
+                rows = _half_tops(D, tuple(range(s, n)), needs)
+                tops.update({(s, k): r for k, r in zip(needs, rows)})
+                row = tops[s, need]
             if cur + _completion_bound(gains, row, need) <= best_val:
                 return
         if need == 1:
@@ -1241,7 +1272,8 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     (_maxsum_walk) rather than through the subset walker: each node's
     distance sums come from its parent's by one row, and the half-distance
     terms depend only on (s, m-k), so each such row is computed once per
-    solve and kept in a table of at most n * m rows of at most n floats.
+    solve, every row of one s from one sort per candidate, and kept in a
+    table of at most n * m rows of at most n floats.
     """
     _validate_m(instance, m)
     spend = _Spend(budget)
@@ -1289,6 +1321,7 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
         # max keeps the first best optimum, the lexicographically smallest
         chosen = max(optima, key=lambda sol: evaluate(upper_kind, instance, sol))
         d_star, count, truncated = optima.value, len(optima), optima.truncated
+        stats = optima.stats
     else:
         spend = _Spend(budget)
         d_star, adj = _optimum_graph(instance, m, spend)
@@ -1301,10 +1334,12 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
                 f"exact bi-level search exceeded budget after "
                 f"{spend.nodes - before} nodes") from None
         chosen, truncated = Solution(best_combo), False
+        stats = spend.stats()
     return BiLevelResult(d_star=d_star, optima_enumerated=count,
                          truncated=truncated, upper_kind=upper_kind,
                          chosen=chosen,
-                         upper_value=evaluate(upper_kind, instance, chosen))
+                         upper_value=evaluate(upper_kind, instance, chosen),
+                         stats=stats)
 
 
 def solve_model(instance: Instance, m: Optional[int], kind: ObjectiveKind,

@@ -88,6 +88,18 @@ def test_solve_bilevel_output(t4_file, capsys):
     assert "truncated false" in out
 
 
+@pytest.mark.parametrize("mode", ["enumerate", "exact"])
+def test_solve_bilevel_prints_its_search_effort(t4, t4_file, capsys, mode):
+    # explored counts the nodes of the whole call, the d* solve and the
+    # walk, as the result's stats do
+    code, out = run(capsys, "solve", t4_file, "--model", "bilevel-maxsum",
+                    "--m", "3", "--mode", mode)
+    want = solve_bilevel(t4, 3, ObjectiveKind.MAXSUM, mode=mode).stats
+    assert code == 0
+    assert want.subsets_or_nodes_explored > 0
+    assert out.splitlines()[-1] == f"explored {want.subsets_or_nodes_explored}"
+
+
 def test_solve_bilevel_truncated_is_feasible(square_file, capsys):
     # the unit square has two MaxMin-optimal pairs; a cap of 1 truncates
     argv = ["solve", square_file, "--model", "bilevel-maxsum", "--m", "2",

@@ -934,14 +934,19 @@ def test_sum_completion_bound_bit_identical(values):
             r = int(rng.integers(1, len(pool) + 1))
             remaining = tuple(sorted(int(v) for v in
                                      rng.choice(pool, size=r, replace=False)))
+            gains = []
+            for v in remaining:
+                gain = 0.0
+                for s in chosen:
+                    gain += D[v][s]
+                gains.append(gain)
+            # one call fills the rows of every need, as MaxSum B&B's does
+            rows = _half_tops(D, remaining, range(2, r + 1)) if r > 1 else []
             for need in sorted({1, r, int(rng.integers(1, r + 1))}):
-                gains = []
-                for v in remaining:
-                    gain = 0.0
-                    for s in chosen:
-                        gain += D[v][s]
-                    gains.append(gain)
-                tops = _half_tops(D, remaining, need) if need > 1 else None
+                tops = rows[need - 2] if need > 1 else None
+                if need > 1:
+                    alone = _half_tops(D, remaining, (need,))[0]
+                    assert alone.tobytes() == tops.tobytes()
                 got = _completion_bound(gains, tops, need)
                 want = _generator_sort_bound(D, chosen, remaining, need)
                 assert got.hex() == want.hex(), (seed, chosen, remaining, need)
@@ -984,8 +989,10 @@ def test_completion_bound_is_admissible(seed, n, family, data):
         for s in chosen:
             gain += D[v][s]
         gains.append(gain)
+    needs = range(2, len(remaining) + 1)
+    rows = _half_tops(D, remaining, needs) if needs else []
     for need in range(1, len(remaining) + 1):
-        tops = _half_tops(D, remaining, need) if need > 1 else None
+        tops = rows[need - 2] if need > 1 else None
         bound = cur + _completion_bound(gains, tops, need)
         best = max(_walked_value(D, chosen, combo)
                    for combo in itertools.combinations(remaining, need))
@@ -1016,33 +1023,48 @@ def _bnb_against_subset_walker(inst, m, max_nodes):
 _BNB_BUDGETS = (None, 1, 7, 50, 300)
 
 
-@pytest.mark.parametrize("values", TIE_VALUES)
-def test_suffix_bound_table_bit_identical(monkeypatch, values):
-    # the bound MaxSum B&B prunes with, its terms kept per (s, need), cuts
-    # exactly where the from-scratch bound does: on tie-heavy distances a
-    # bound one ulp off would prune another node; each row is computed once
-    computed = []
+def _count_row_fills(patch):
+    # patch solvers._half_tops to log its calls: the candidates of each
+    # call, and the (candidates, need) of each row it fills
+    calls, rows = [], []
     half_tops = solvers._half_tops
 
-    def counted(D, remaining, need):
-        computed.append((remaining, need))
-        return half_tops(D, remaining, need)
+    def counted(D, remaining, needs):
+        calls.append(remaining)
+        rows.extend((remaining, need) for need in needs)
+        return half_tops(D, remaining, needs)
 
-    rows = 0
+    patch.setattr(solvers, "_half_tops", counted)
+    return calls, rows
+
+
+def _suffix_rows_filled_once(calls, rows, n, m):
+    # MaxSum B&B's table: rows of suffixes only, each filled once, and all
+    # rows of one suffix from one call, so one sort per candidate
+    assert len(set(calls)) == len(calls)
+    assert len(set(rows)) == len(rows) <= n * m
+    assert all(rem == tuple(range(rem[0], n)) for rem in calls)
+
+
+@pytest.mark.parametrize("values", TIE_VALUES)
+def test_suffix_bound_table_bit_identical(monkeypatch, values):
+    # the bound MaxSum B&B prunes with, its terms kept per (s, need) and
+    # filled for every need of a suffix at once, cuts exactly where the
+    # from-scratch bound does: on tie-heavy distances a bound one ulp off
+    # would prune another node; each row is computed once
+    filled = 0
     for seed, (n, m) in enumerate([(8, 2), (10, 3), (12, 4), (14, 5),
                                    (16, 6), (18, 8)]):
         inst = _tie_heavy(seed, n, values)
         for max_nodes in _BNB_BUDGETS:
             got, want = _bnb_against_subset_walker(inst, m, max_nodes)
             assert got == want, (seed, n, m, max_nodes)
-        computed.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_half_tops", counted)
+            calls, rows = _count_row_fills(patch)
             solve_maxsum_bnb(inst, m)
-        assert len(computed) == len(set(computed)) <= n * m
-        assert all(rem == tuple(range(rem[0], n)) for rem, _ in computed)
-        rows += len(computed)
-    assert rows > 0
+        _suffix_rows_filled_once(calls, rows, n, m)
+        filled += len(rows)
+    assert filled > 0
 
 
 # (family, n, m) of MaxSum B&B's reference corpus, each drawn at one seed
@@ -1072,18 +1094,11 @@ def test_maxsum_bnb_computes_each_table_row_once(monkeypatch, family, n, m,
                                                  seed):
     inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
                                   seed=seed))
-    keys = []
-    half_tops = solvers._half_tops
-
-    def counted(D, remaining, need):
-        keys.append((remaining, need))
-        return half_tops(D, remaining, need)
-
-    monkeypatch.setattr(solvers, "_half_tops", counted)
+    calls, rows = _count_row_fills(monkeypatch)
     res = solve_maxsum_bnb(inst, m)
     assert res.status is SolveStatus.OPTIMAL
-    assert keys and len(set(keys)) == len(keys) <= n * m
-    assert all(rem == tuple(range(rem[0], n)) for rem, _ in keys)
+    assert rows
+    _suffix_rows_filled_once(calls, rows, n, m)
 
 
 # (family, n, m, seed): MaxSum B&B (value hex, subset, nodes) unbudgeted, then
@@ -1475,7 +1490,8 @@ def _reference_walk_subsets(D, adj, m, leaf, tick, prune=None,
 
 
 def _reference_best_subset(D, adj, m, upper_kind, tick):
-    # _best_subset as it was before its prune waited for an incumbent
+    # _best_subset as it was before its prune waited for an incumbent, and
+    # with no table: each prune fills its _half_tops row afresh
     maxsum = upper_kind is ObjectiveKind.MAXSUM
     best_val = -math.inf
     best_combo = None
@@ -1490,7 +1506,8 @@ def _reference_best_subset(D, adj, m, upper_kind, tick):
         return True
 
     def prune(cur, gains, remaining, need):
-        tops = _half_tops(D, remaining, need) if need > 1 else None
+        tops = solvers._half_tops(D, remaining, (need,))[0] if need > 1 \
+            else None
         bound = cur + _completion_bound(gains, tops, need)
         if not maxsum:
             bound = 2.0 * bound / m
@@ -2135,6 +2152,70 @@ def test_bilevel_and_enumeration_reuse_the_proven_optimum(monkeypatch, spec):
     assert calls == []
     assert results == want
     assert inst._maxmin == {m: want_enum.value}
+
+
+# (TIE_VALUES index, seed, n, m): tie-heavy instances for exact bi-level
+BILEVEL_TIE_CASES = [(values, seed, n, m) for values in range(len(TIE_VALUES))
+                     for seed, (n, m) in enumerate([(10, 3), (14, 4), (16, 6),
+                                                    (18, 5)])]
+
+
+@pytest.mark.parametrize(
+    "case", BILEVEL_TIE_CASES + BILEVEL_SPECS,
+    ids=lambda case: "-".join(map(str, case)))
+def test_exact_bilevel_fills_each_table_row_once(monkeypatch, case):
+    # exact bi-level keeps the _half_tops rows of its prune in a per-solve
+    # table: each (candidates, need) row is filled once, one per call, and
+    # the walk visits, scores, stops and chooses as the table-free
+    # reference does, at every budget
+    if isinstance(case[0], int):
+        values, seed, n, m = case
+        inst = _tie_heavy(seed, n, TIE_VALUES[values])
+    else:
+        inst, m = _generate(case), case[2]
+    d_star = solve_maxmin_improved(inst, m).value  # cached for solve_bilevel
+    adj = build_threshold_graph(inst, d_star).adj
+    D = inst.distances.tolist()
+    for kind in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM):
+        for max_nodes in _BNB_BUDGETS:
+            with monkeypatch.context() as patch:
+                calls, rows = _count_row_fills(patch)
+                got = _ticked(lambda tick: solvers._best_subset(
+                    D, adj, m, kind, tick), max_nodes)
+            with monkeypatch.context() as patch:
+                _, ref_rows = _count_row_fills(patch)
+                want = _ticked(lambda tick: _reference_best_subset(
+                    D, adj, m, kind, tick), max_nodes)
+            assert got == want, (kind, max_nodes)
+            assert len(calls) == len(rows) == len(set(rows)), (kind, max_nodes)
+            if max_nodes is None:
+                (combo, leaves), nodes, _ = want
+                if case in BILEVEL_SPECS:
+                    # the benchmark's instances repeat 32-68% of the fills
+                    assert len(rows) <= 0.7 * len(ref_rows), kind
+        res = solve_bilevel(inst, m, kind, mode="exact")
+        value = evaluate(kind, inst, Solution(combo))
+        assert (res.chosen.nodes, res.upper_value.hex(), res.optima_enumerated,
+                res.stats.subsets_or_nodes_explored) == (
+                    combo, value.hex(), leaves, nodes)
+
+
+@pytest.mark.parametrize("mode,walk_nodes", [("exact", 525),
+                                             ("enumerate", 202)])
+def test_bilevel_result_reports_the_search_effort(mode, walk_nodes):
+    # the d* solve and the walk, charged to one ledger; once d* is cached
+    # only the walk is left, and equality ignores the stats (wall time)
+    spec = ("gkd-d", 40, 6, 3)  # the instance the CI example step solves
+    inst = _generate(spec)
+    first = solve_bilevel(inst, 6, ObjectiveKind.MAXSUM, mode=mode)
+    again = solve_bilevel(inst, 6, ObjectiveKind.MAXSUM, mode=mode)
+    d_star = solve_maxmin_improved(_generate(spec), 6).stats
+    assert first == again
+    assert again.stats.subsets_or_nodes_explored == walk_nodes
+    assert first.stats.subsets_or_nodes_explored == (
+        d_star.subsets_or_nodes_explored + walk_nodes)
+    assert (first.stats.decision_solves, again.stats.decision_solves) == (1, 0)
+    assert first.stats.wall_time > 0
 
 
 def test_enumeration_reuses_the_public_solve(monkeypatch, t4):
