@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import ceil, comb, inf, isnan, log2
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -1113,22 +1113,24 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
         del rec  # rec reaches itself through its closure cell: break the cycle
 
 
-def _half_tops(D: list[list[float]], remaining: Sequence[int],
+def _half_tops(A: np.ndarray, remaining: Sequence[int],
                needs: Sequence[int]) -> list[array]:
-    """One row per need in needs (each >= 2): half the sum of each
-    remaining[i]'s need - 1 largest distances to the other candidates, the
-    part of the MaxSum completion bound that does not depend on the picks
-    so far.  One descending sort per candidate serves every need, and each
-    entry is the sum a row for that need alone would take, bit for bit."""
-    gather = itemgetter(*remaining)
-    tops = []
-    for i, v in enumerate(remaining):
-        others = list(gather(D[v]))
-        del others[i]  # v itself
-        others.sort(reverse=True)
-        tops.append(others)
-    return [array("d", [0.5 * sum(others[:need - 1]) for others in tops])
-            for need in needs]
+    """One row per need in needs (ascending, each >= 2 and at most
+    len(remaining)): half the sum of each remaining[i]'s need - 1 largest
+    distances to the other candidates, the part of the MaxSum completion
+    bound that does not depend on the picks so far.  One sort of the
+    candidates' distance rows serves every need: np.add.accumulate adds
+    each row's largest distances one at a time, largest first, so each
+    entry is the left-to-right sum of its need - 1 largest, bit for bit
+    whatever other needs the call asks for."""
+    idx = np.array(remaining)
+    sub = A.take(idx, 0).take(idx, 1)
+    sub.flat[::len(idx) + 1] = -inf  # v itself sorts below every distance
+    sub.sort()
+    # half[k]: half the sum of each row's k + 1 largest distances
+    half = np.add.accumulate(sub.T[::-1][:needs[-1] - 1])
+    half *= 0.5
+    return [array("d", half[need - 2].tobytes()) for need in needs]
 
 
 def _completion_bound(gains: Sequence[float],
@@ -1144,17 +1146,18 @@ def _completion_bound(gains: Sequence[float],
     return sum(scores[:need])
 
 
-def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
+def _best_subset(A: np.ndarray, adj: Sequence[int], m: int,
                  upper_kind: ObjectiveKind, tick: Callable[[], None],
                  ) -> tuple[Optional[tuple[int, ...]], int]:
     """Lexicographically first best MaxSum or MaxMinSum m-subset independent
-    in adj, pruned by the MaxSum completion bound or, for MaxMinSum, twice
-    it over m (min <= mean of the contributions).  The bound's _half_tops
-    row depends only on the candidates and need, so each (candidates,
-    need) row is filled once per solve and kept in a table that both
-    upper objectives read.  Returns (subset or None, leaves scored); when
-    tick stops the walk, the _Exhausted it raises carries the best subset
-    so far (or None) as its incumbent."""
+    in adj, of the distance matrix A, pruned by the MaxSum completion bound
+    or, for MaxMinSum, twice it over m (min <= mean of the contributions).
+    The bound's _half_tops row depends only on the candidates and need, so
+    each (candidates, need) row is filled once per solve and kept in that
+    solve's own table.  Returns (subset or None, leaves scored); when tick
+    stops the walk, the _Exhausted it raises carries the best subset so
+    far (or None) as its incumbent."""
+    D = A.tolist()  # the walk and the leaves read rows as Python floats
     maxsum = upper_kind is ObjectiveKind.MAXSUM
     # tops[need][remaining]: the _half_tops row of those candidates
     tops: list[dict[tuple[int, ...], array]] = [{} for _ in range(m + 1)]
@@ -1178,7 +1181,7 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
         if need > 1:
             row = tops[need].get(remaining)
             if row is None:
-                row = tops[need][remaining] = _half_tops(D, remaining,
+                row = tops[need][remaining] = _half_tops(A, remaining,
                                                          (need,))[0]
         bound = cur + _completion_bound(gains, row, need)
         if not maxsum:
@@ -1193,10 +1196,11 @@ def _best_subset(D: list[list[float]], adj: Sequence[int], m: int,
     return best_combo, leaves
 
 
-def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
+def _maxsum_walk(A: np.ndarray, m: int, tick: Callable[[], None],
                  ) -> tuple[int, ...]:
-    """The lexicographically first best MaxSum m-subset, by depth-first
-    branch and bound over suffixes (solve_maxsum_bnb).
+    """The lexicographically first best MaxSum m-subset of the distance
+    matrix A, by depth-first branch and bound over suffixes
+    (solve_maxsum_bnb).
 
     A node is (s, chosen, cur, gains): its candidates are range(s, n),
     cur is the MaxSum value of chosen and gains[i] the distance sum from
@@ -1208,11 +1212,12 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
     entry when cur plus _completion_bound, exact bi-level's bound too,
     cannot beat it.  Its _half_tops rows are kept per solve: the first
     node at s that asks fills the rows of every need a node at s can have,
-    from one sort per candidate, and later nodes read them.  tick() runs
+    from one sort, and later nodes read them.  tick() runs
     once at every node, leaves included, and stops the walk by raising
     _Exhausted, which then carries the best subset so far (or None) as
     its incumbent.
     """
+    D = A.tolist()  # the walk reads rows as Python floats
     n = len(D)
     tops: dict[tuple[int, int], array] = {}  # (s, need) -> _half_tops row
     best_val = -inf
@@ -1230,7 +1235,7 @@ def _maxsum_walk(D: list[list[float]], m: int, tick: Callable[[], None],
                 # 1 to s picks made and at least need candidates left
                 needs = range(max(2, m - s), min(m - 1, n - s) + 1) if s \
                     else (m,)
-                rows = _half_tops(D, tuple(range(s, n)), needs)
+                rows = _half_tops(A, tuple(range(s, n)), needs)
                 tops.update({(s, k): r for k, r in zip(needs, rows)})
                 row = tops[s, need]
             if cur + _completion_bound(gains, row, need) <= best_val:
@@ -1272,13 +1277,13 @@ def solve_maxsum_bnb(instance: Instance, m: int,
     (_maxsum_walk) rather than through the subset walker: each node's
     distance sums come from its parent's by one row, and the half-distance
     terms depend only on (s, m-k), so each such row is computed once per
-    solve, every row of one s from one sort per candidate, and kept in a
-    table of at most n * m rows of at most n floats.
+    solve, every row of one s from one sort, and kept in a table of at
+    most n * m rows of at most n floats.
     """
     _validate_m(instance, m)
     spend = _Spend(budget)
     try:
-        best_combo = _maxsum_walk(instance.distances.tolist(), m, spend.tick)
+        best_combo = _maxsum_walk(instance.distances, m, spend.tick)
         status = SolveStatus.OPTIMAL
     except _Exhausted as stop:
         best_combo = stop.incumbent
@@ -1327,8 +1332,8 @@ def solve_bilevel(instance: Instance, m: int, upper_kind: ObjectiveKind,
         d_star, adj = _optimum_graph(instance, m, spend)
         before = spend.nodes
         try:
-            best_combo, count = _best_subset(instance.distances.tolist(), adj,
-                                             m, upper_kind, spend.tick)
+            best_combo, count = _best_subset(instance.distances, adj, m,
+                                             upper_kind, spend.tick)
         except _Exhausted:
             raise BudgetExceededError(
                 f"exact bi-level search exceeded budget after "

@@ -6,7 +6,9 @@ import math
 import sys
 import threading
 import types
+from array import array
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -924,7 +926,8 @@ def test_sum_completion_bound_bit_identical(values):
     checked = 0
     for seed in range(12):
         n = int(rng.integers(6, 16))
-        D = _tie_heavy(seed, n, values).distances.tolist()
+        A = _tie_heavy(seed, n, values).distances
+        D = A.tolist()
         for _ in range(25):
             order = [int(v) for v in rng.permutation(n)]
             k = int(rng.integers(0, n - 1))
@@ -941,17 +944,70 @@ def test_sum_completion_bound_bit_identical(values):
                     gain += D[v][s]
                 gains.append(gain)
             # one call fills the rows of every need, as MaxSum B&B's does
-            rows = _half_tops(D, remaining, range(2, r + 1)) if r > 1 else []
+            rows = _half_tops(A, remaining, range(2, r + 1)) if r > 1 else []
             for need in sorted({1, r, int(rng.integers(1, r + 1))}):
                 tops = rows[need - 2] if need > 1 else None
                 if need > 1:
-                    alone = _half_tops(D, remaining, (need,))[0]
+                    alone = _half_tops(A, remaining, (need,))[0]
                     assert alone.tobytes() == tops.tobytes()
                 got = _completion_bound(gains, tops, need)
                 want = _generator_sort_bound(D, chosen, remaining, need)
                 assert got.hex() == want.hex(), (seed, chosen, remaining, need)
                 checked += 1
     assert checked > 600
+
+
+def _python_half_tops(D, remaining, needs):
+    # _half_tops as a Python fill, one row per need: gather each candidate's
+    # distances to the candidates, drop its own, sort them descending and
+    # halve the sum of the need - 1 largest
+    gather = itemgetter(*remaining)
+    tops = []
+    for i, v in enumerate(remaining):
+        others = list(gather(D[v]))
+        del others[i]
+        others.sort(reverse=True)
+        tops.append(others)
+    return [[0.5 * sum(others[:need - 1]) for others in tops]
+            for need in needs]
+
+
+# (family, n, seed, tie values): random, integer (som draws 0..9) and
+# tie-heavy distance matrices, the last two mostly zeros
+HALF_TOPS_SOURCES = [
+    ("gkd-d", 24, 0, None), ("mdg", 24, 1, None), ("som", 24, 2, None),
+    ("ties", 18, 3, TIE_VALUES[0]), ("ties", 18, 4, TIE_VALUES[1]),
+    ("ties", 18, 5, TIE_VALUES[2]), ("ties", 18, 6, [0.0] * 4 + [1.0]),
+    ("ties", 18, 7, [0.0] * 7 + [0.1, 0.2])]
+
+
+@pytest.mark.parametrize("source", HALF_TOPS_SOURCES,
+                         ids=lambda source: "-".join(map(str, source[:3])))
+def test_half_tops_same_as_python_fill(source):
+    # the numpy fill gives the Python fill's bits for candidate sets of
+    # every size, drawn and suffixes, one need at a time (as exact bi-level
+    # asks) and for ascending need ranges (as MaxSum B&B asks per suffix)
+    family, n, seed, values = source
+    inst = _tie_heavy(seed, n, values) if values else \
+        _generate((family, n, 2, seed))
+    A, D = inst.distances, inst.distances.tolist()
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for r in range(2, n + 1):
+        drawn = tuple(sorted(int(v) for v in
+                             rng.choice(n, size=r, replace=False)))
+        calls = [(need,) for need in range(2, r + 1)]
+        calls += [range(2, top + 1) for top in range(3, r + 1)]
+        calls += [range(low, r + 1) for low in range(3, r)]
+        for remaining in (drawn, tuple(range(n - r, n))):
+            for needs in calls:
+                got = [row.tobytes() for row in _half_tops(A, remaining,
+                                                           needs)]
+                want = [array("d", row).tobytes() for row in
+                        _python_half_tops(D, remaining, needs)]
+                assert got == want, (remaining, list(needs))
+                checked += 1
+    assert checked > 2 * n * n
 
 
 def _walked_value(D, chosen, combo):
@@ -976,7 +1032,8 @@ def test_completion_bound_is_admissible(seed, n, family, data):
     # walks that prune on it (MaxSum B&B, exact bi-level) stay exact; a
     # tight bound (say every candidate needed) is exact in real numbers
     # but may round a few ulps below the walked value
-    D = _generate((family, n, 2, seed)).distances.tolist()
+    A = _generate((family, n, 2, seed)).distances
+    D = A.tolist()
     order = data.draw(st.permutations(range(n)))
     k = data.draw(st.integers(0, n - 1))
     chosen = order[:k]
@@ -990,7 +1047,7 @@ def test_completion_bound_is_admissible(seed, n, family, data):
             gain += D[v][s]
         gains.append(gain)
     needs = range(2, len(remaining) + 1)
-    rows = _half_tops(D, remaining, needs) if needs else []
+    rows = _half_tops(A, remaining, needs) if needs else []
     for need in range(1, len(remaining) + 1):
         tops = rows[need - 2] if need > 1 else None
         bound = cur + _completion_bound(gains, tops, need)
@@ -1009,8 +1066,8 @@ def _bnb_against_subset_walker(inst, m, max_nodes):
            None if res.solution is None else tuple(res.solution),
            res.stats.subsets_or_nodes_explored)
     answer, nodes, stopped = _ticked(lambda tick: solvers._best_subset(
-        inst.distances.tolist(), (0,) * inst.n, m, ObjectiveKind.MAXSUM,
-        tick), max_nodes)
+        inst.distances, (0,) * inst.n, m, ObjectiveKind.MAXSUM, tick),
+        max_nodes)
     combo = answer if stopped else answer[0]
     status = (SolveStatus.OPTIMAL if not stopped
               else SolveStatus.FEASIBLE if combo is not None
@@ -1029,10 +1086,10 @@ def _count_row_fills(patch):
     calls, rows = [], []
     half_tops = solvers._half_tops
 
-    def counted(D, remaining, needs):
+    def counted(A, remaining, needs):
         calls.append(remaining)
         rows.extend((remaining, need) for need in needs)
-        return half_tops(D, remaining, needs)
+        return half_tops(A, remaining, needs)
 
     patch.setattr(solvers, "_half_tops", counted)
     return calls, rows
@@ -1259,7 +1316,7 @@ def test_max_nodes_covers_the_d_star_solve(call, family, n, m, seed):
             None, adj, m, lambda chosen, cur: True, tick))[1]
     else:
         walk = _ticked(lambda tick: solvers._best_subset(
-            fresh().distances.tolist(), adj, m, kind, tick))[1]
+            fresh().distances, adj, m, kind, tick))[1]
     # the d* solve and the walk share one max_nodes: exactly their sum
     # finishes, one less stops
     run(fresh(), m, SolverBudget(max_nodes=spent + walk))
@@ -1489,9 +1546,10 @@ def _reference_walk_subsets(D, adj, m, leaf, tick, prune=None,
         del rec
 
 
-def _reference_best_subset(D, adj, m, upper_kind, tick):
+def _reference_best_subset(A, adj, m, upper_kind, tick):
     # _best_subset as it was before its prune waited for an incumbent, and
     # with no table: each prune fills its _half_tops row afresh
+    D = A.tolist()
     maxsum = upper_kind is ObjectiveKind.MAXSUM
     best_val = -math.inf
     best_combo = None
@@ -1506,7 +1564,7 @@ def _reference_best_subset(D, adj, m, upper_kind, tick):
         return True
 
     def prune(cur, gains, remaining, need):
-        tops = solvers._half_tops(D, remaining, (need,))[0] if need > 1 \
+        tops = solvers._half_tops(A, remaining, (need,))[0] if need > 1 \
             else None
         bound = cur + _completion_bound(gains, tops, need)
         if not maxsum:
@@ -1563,7 +1621,6 @@ def test_walker_same_as_reference_walker(monkeypatch, spec):
     family, n, m, seed = spec
     inst = generate(GeneratorSpec(family=Family.from_string(family), n=n, m=m,
                                   seed=seed))
-    D = inst.distances.tolist()
     d_star = solve_maxmin_improved(inst, m).value
     g_star = build_threshold_graph(inst, d_star).adj
     runs = [(g_star, kind) for kind in (ObjectiveKind.MAXSUM,
@@ -1573,8 +1630,8 @@ def test_walker_same_as_reference_walker(monkeypatch, spec):
     for adj, kind in runs:
         for max_nodes in (None, 50, 300, 2_000):
             def best(search):
-                return lambda: _ticked(lambda tick: search(D, adj, m, kind,
-                                                           tick), max_nodes)
+                return lambda: _ticked(lambda tick: search(
+                    inst.distances, adj, m, kind, tick), max_nodes)
             got = _walk_log(monkeypatch, solvers._walk_subsets,
                             best(solvers._best_subset))
             want = _walk_log(monkeypatch, _reference_walk_subsets,
@@ -2175,17 +2232,16 @@ def test_exact_bilevel_fills_each_table_row_once(monkeypatch, case):
         inst, m = _generate(case), case[2]
     d_star = solve_maxmin_improved(inst, m).value  # cached for solve_bilevel
     adj = build_threshold_graph(inst, d_star).adj
-    D = inst.distances.tolist()
     for kind in (ObjectiveKind.MAXSUM, ObjectiveKind.MAXMINSUM):
         for max_nodes in _BNB_BUDGETS:
             with monkeypatch.context() as patch:
                 calls, rows = _count_row_fills(patch)
                 got = _ticked(lambda tick: solvers._best_subset(
-                    D, adj, m, kind, tick), max_nodes)
+                    inst.distances, adj, m, kind, tick), max_nodes)
             with monkeypatch.context() as patch:
                 _, ref_rows = _count_row_fills(patch)
                 want = _ticked(lambda tick: _reference_best_subset(
-                    D, adj, m, kind, tick), max_nodes)
+                    inst.distances, adj, m, kind, tick), max_nodes)
             assert got == want, (kind, max_nodes)
             assert len(calls) == len(rows) == len(set(rows)), (kind, max_nodes)
             if max_nodes is None:
