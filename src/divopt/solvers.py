@@ -216,15 +216,6 @@ def _bits_to_nodes(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lowest_bits(mask: int, k: int) -> int:
-    out = 0
-    for _ in range(k):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out
-
-
 class _Exhausted(Exception):
     """_Spend.tick stopped a search.  A search that keeps an incumbent
     stores it in incumbent on the way out (_best_subset, _maxsum_walk)."""
@@ -291,16 +282,34 @@ class _Spend:
                               **fields})
 
 
-def _clique_cover_size(cand: int, adj: tuple[int, ...], stop: int) -> int:
-    """Size of a greedy clique cover of cand, counted no further than stop.
+def _clique_cover(cand: int, adj: Sequence[int], stop: int,
+                  parent: Optional[list[int]] = None) -> list[int]:
+    """A greedy clique cover of cand, built no further than stop cliques.
 
-    Each clique grows from the lowest remaining vertex through the
-    lowest-index common neighbours.  The cover size bounds the independence
-    number of cand from above; the searches stop counting where the bound
-    can no longer prune.
+    Entry k of the list is what remains of cand after the first k cliques,
+    so entry 0 is cand, and len(list) - 1 cliques were built: the whole
+    cover or stop, whichever is fewer.  Each clique grows from the lowest
+    remaining vertex through the lowest-index common neighbours.  The cover
+    size bounds the independence number of cand from above; the searches
+    stop building where the bound can no longer prune.
+
+    parent, the list of a superset of cand (the parent search node's),
+    hands down its leading cliques that hold no vertex cand lacks: the
+    greedy picks only the lowest remaining vertex and then the lowest
+    common neighbours, and a vertex it never picked changes neither, so
+    those are cand's first cliques too.  The build goes on from the first
+    clique that lost a vertex, and the list is the one built without
+    parent.
     """
-    count = 0
-    rest = cand
+    rests = [cand]
+    if parent is not None:
+        gone = parent[0] ^ cand
+        for rest in parent[1:stop + 1]:
+            if rest & gone != gone:
+                break
+            rests.append(rest ^ gone)
+    rest = rests[-1]
+    count = len(rests) - 1
     while rest and count < stop:
         low = rest & -rest
         rest ^= low
@@ -309,8 +318,9 @@ def _clique_cover_size(cand: int, adj: tuple[int, ...], stop: int) -> int:
             low = common & -common
             rest ^= low
             common &= adj[low.bit_length() - 1]
+        rests.append(rest)
         count += 1
-    return count
+    return rests
 
 
 def _max_degree(cand: int, adj: tuple[int, ...]) -> tuple[int, int]:
@@ -337,27 +347,33 @@ def _find_independent(cand: int, adj: tuple[int, ...], m: int,
     _Exhausted.  Branches on the candidate vertex of maximum degree within
     the candidate set, excluding it first; prunes when a greedy clique
     cover of the candidates has fewer cliques than picks are still needed.
+    Both children get the node's cover, so each builds its own from the
+    first clique that lost a vertex (_clique_cover).
     """
-    # stack entries: (candidates, chosen, still_needed); exclude branch is
-    # pushed last so it pops first
-    stack = [(cand, 0, m)]
+    # stack entries: (candidates, chosen, still_needed, parent's cover);
+    # exclude branch is pushed last so it pops first
+    stack = [(cand, 0, m, None)]
     while stack:
-        cand, chosen, need = stack.pop()
+        cand, chosen, need, cover = stack.pop()
         tick()
         if need == 0:
             return chosen
         if cand.bit_count() < need:
             continue
         # decisive on the infeasible side of the threshold
-        if _clique_cover_size(cand, adj, need) < need:
+        cover = _clique_cover(cand, adj, need, cover)
+        if len(cover) <= need:
             continue
         pick, maxdeg = _max_degree(cand, adj)
         if maxdeg == 0:
             # conflict-free candidates: lowest-index fill completes
-            return chosen | _lowest_bits(cand, need)
+            for v in _bits_to_nodes(cand)[:need]:
+                chosen |= 1 << v
+            return chosen
         bit = 1 << pick
-        stack.append((cand & ~(adj[pick] | bit), chosen | bit, need - 1))
-        stack.append((cand ^ bit, chosen, need))
+        stack.append((cand & ~(adj[pick] | bit), chosen | bit, need - 1,
+                      cover))
+        stack.append((cand ^ bit, chosen, need, cover))
     return None
 
 
@@ -478,7 +494,16 @@ def _reduce_forced(cand: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
 def _max_independent(cand: int, adj: tuple[int, ...],
                      tick: Callable[[], None]) -> int:
     """Exact maximum independent set bits of the subgraph induced by cand;
-    tick() runs at every search node and may stop it by raising _Exhausted."""
+    tick() runs at every search node and may stop it by raising _Exhausted.
+
+    Each connected component is searched on its own, from a greedy
+    incumbent.  A node prunes when cur plus a greedy clique cover of its
+    candidates, built to best - cur + 1 cliques, cannot beat best.  It
+    hands its cover to its include child and to its own next exclude
+    iteration, which build theirs from the first clique that lost a vertex
+    (_clique_cover); their stop may be higher than the node's, and the
+    build then goes on past the cliques it was handed.
+    """
     tick()
     forced, cand, _ = _reduce_forced(cand, adj)
     if cand == 0:
@@ -491,7 +516,8 @@ def _max_independent(cand: int, adj: tuple[int, ...],
     best_bits = _greedy_independent(cand, adj)
     best = best_bits.bit_count()
 
-    def bb(cand: int, cur_bits: int, cur: int) -> None:
+    def bb(cand: int, cur_bits: int, cur: int,
+           cover: Optional[list[int]]) -> None:
         nonlocal best, best_bits
         tick()
         forced, cand, pick = _reduce_forced(cand, adj)
@@ -503,13 +529,15 @@ def _max_independent(cand: int, adj: tuple[int, ...],
                 best, best_bits = cur, cur_bits
             return
         while True:
-            if cur + _clique_cover_size(cand, adj, best - cur + 1) <= best:
+            # cover: the parent's, then the previous iteration's
+            cover = _clique_cover(cand, adj, best - cur + 1, cover)
+            if cur + len(cover) - 1 <= best:
                 return
             if pick < 0:
                 pick = _max_degree(cand, adj)[0]
             bit = 1 << pick
             # include pick (recursive), then loop on as the exclude branch
-            bb(cand & ~(adj[pick] | bit), cur_bits | bit, cur + 1)
+            bb(cand & ~(adj[pick] | bit), cur_bits | bit, cur + 1, cover)
             cand ^= bit
             pick = -1
             # the include branch left best >= cur + 1, so an empty
@@ -518,7 +546,7 @@ def _max_independent(cand: int, adj: tuple[int, ...],
                 return
 
     try:
-        bb(cand, 0, 0)
+        bb(cand, 0, 0, None)
     finally:
         del bb  # bb reaches itself through its closure cell: break the cycle
     return forced | best_bits
@@ -1054,7 +1082,7 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
     skipped, not visited, and so costs no tick.
     A walk without prune lists every leaf, so it also skips a child that
     needs at least 2 more picks when a greedy clique cover of its
-    candidates (_clique_cover_size) has fewer cliques than that: no
+    candidates (_clique_cover) has fewer cliques than that: no
     independent completion lies below it, and the leaves and their order
     stay the same.  The walk with a prune, exact bi-level, keeps its node
     counts for now; it takes the skip once the benchmark runner no longer
@@ -1083,7 +1111,7 @@ def _walk_subsets(D: Optional[list[list[float]]], adj: Sequence[int], m: int,
             child = scan & ~adj[v]
             if child.bit_count() >= need - 1 and (
                     prune is not None or need < 3
-                    or _clique_cover_size(child, adj, need - 1) >= need - 1):
+                    or len(_clique_cover(child, adj, need - 1)) >= need):
                 if pending:
                     # no pick is made before here, so prune sees the
                     # incumbent the node was entered with

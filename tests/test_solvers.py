@@ -27,7 +27,7 @@ from divopt import (Family, GeneratorSpec, Instance, ObjectiveKind, Solution,
 from divopt import solvers
 from divopt.instances import truncate
 from divopt.solvers import (_BLOCK_ROWS, _TABLE_CACHE_BYTES, _bits_to_nodes,
-                            _clique_cover_size, _combination_blocks,
+                            _clique_cover, _combination_blocks,
                             _combination_table, _completion_bound,
                             _half_tops, _max_degree, _reduce_forced,
                             _score_block, _score_plain)
@@ -1529,7 +1529,7 @@ def _reference_walk_subsets(D, adj, m, leaf, tick, prune=None,
             v = low.bit_length() - 1
             child = scan & ~adj[v]
             dead = (cover_skip and prune is None and need - 1 >= 2
-                    and _clique_cover_size(child, adj, n) < need - 1)
+                    and _full_cover(child, adj) < need - 1)
             if child.bit_count() >= need - 1 and not dead:
                 chosen.append(v)
                 keep = rec(child, chosen,
@@ -1812,15 +1812,62 @@ def test_bits_to_nodes_matches_bit_loop():
     assert _bits_to_nodes(1 << 149) == (149,)
 
 
-def test_clique_cover_size_stops_at_the_bound():
+def test_clique_cover_stops_at_the_bound():
     checked = 0
     for rng, n, adj in _graphs(21, 40):
         for cand in _random_subsets(rng, n, 10):
             full = _full_cover(cand, adj)
             for stop in {1, 2, full, full + 1, int(rng.integers(1, n + 2))}:
-                assert _clique_cover_size(cand, adj, stop) == min(full, stop)
+                cover = _clique_cover(cand, adj, stop)
+                assert len(cover) - 1 == min(full, stop)
+                assert cover[0] == cand
                 checked += 1
     assert checked > 1000
+
+
+def _child_candidates(rng, cand, adj):
+    # a subset of cand, made as one of the MaxMin searches makes a child:
+    # the decision search's exclude child, the packing search's include
+    # child after its degree-0/1 reduction, or an arbitrary subset
+    pick = _max_degree(cand, adj)[0]
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return cand ^ (1 << pick)
+    if kind == 1:
+        return _reduce_forced(cand & ~(adj[pick] | 1 << pick), adj)[1]
+    keep = rng.random(cand.bit_length()) < rng.uniform(0.3, 1.0)
+    return cand & sum(1 << int(v) for v in np.flatnonzero(keep))
+
+
+def test_clique_cover_from_parent_same_as_fresh():
+    # along nested chains of candidate sets, the cover built from the
+    # parent's list is the list built without it, at stops below, at and
+    # above the parent's; handed counts the parent's cliques a child
+    # keeps, so that the chains are seen to exercise the copy
+    rng = np.random.default_rng(31)
+    graphs = [(n, adj) for _, n, adj in _graphs(32, 100)]
+    graphs += [(n, _random_graph(rng, n, density))
+               for n in (1, 2, 63, 64, 65, 127, 128, 129)
+               for density in (0.05, 0.4, 0.9)]
+    checked = handed = 0
+    for n, adj in graphs:
+        for cand in [(1 << n) - 1, *_random_subsets(rng, n, 5)]:
+            stop = int(rng.integers(1, n + 2))
+            cover = _clique_cover(cand, adj, stop)
+            while cand:
+                cand = _child_candidates(rng, cand, adj)
+                stop = max(1, stop + int(rng.integers(-2, 3)))
+                fresh = _clique_cover(cand, adj, stop)
+                handed_down = _clique_cover(cand, adj, stop, cover)
+                assert handed_down == fresh
+                gone = cover[0] ^ cand
+                handed += next((k for k, rest in enumerate(cover[1:stop + 1])
+                                if rest & gone != gone),
+                               min(len(cover) - 1, stop))
+                checked += 1
+                cover = fresh
+    assert checked > 3000
+    assert handed > 2000
 
 
 def test_reduce_forced_matches_restart_scan():
